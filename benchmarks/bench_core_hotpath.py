@@ -1,193 +1,15 @@
-"""Core hot-path bench: mediation throughput + engine digest parity.
-
-The measurement harness lives in :mod:`repro.perf.hotpath` (shared with
-the ``sbqa bench`` CLI subcommand); this script is the standalone /CI
-entry point::
+"""Core hot-path bench: ``sbqa bench`` under its CI script name.
 
     PYTHONPATH=src python benchmarks/bench_core_hotpath.py --json BENCH_core.json
     PYTHONPATH=src python benchmarks/bench_core_hotpath.py --smoke
 
-It times four configurations of a mediation-bound SbQA system --
-the fast engine (fused SoA kernel), the same engine pinned to the
-scalar oracle path, the event-faithful engine, and a reconstruction of
-the pre-engine ("seed") hot path with per-read window recomputation
-and eager trace formatting -- and byte-compares the fast/event and
-fused/scalar result digests on a mixed scenario (autonomous churn +
-crashes + two policies).  It also walks the population scaling axis
-(flat and federated: N sharded across K consistent-hash mediators).
-Exit status is non-zero when parity breaks or the fast engine falls
-below the required speedup over the seed baseline (or the optional
-absolute-throughput / scaling-flatness floors).
+Every flag is ``sbqa bench``'s (``sbqa bench --help``); the harness is
+:mod:`repro.perf.hotpath`, the record layout is in docs/performance.md.
 """
 
-from __future__ import annotations
-
-import argparse
 import sys
 
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="small, CI-sized configuration",
-    )
-    parser.add_argument(
-        "--mediations", type=int, default=None,
-        help="mediations per timing sample (default 4000; smoke 1200)",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=None,
-        help="timing samples per engine, best-of (default 3; smoke 2)",
-    )
-    parser.add_argument(
-        "--json", dest="json_out", default=None,
-        help="write the bench record (BENCH_core.json layout) to a file",
-    )
-    parser.add_argument(
-        "--min-speedup", type=float, default=2.0,
-        help="fail when fast-vs-seed speedup is below this (default 2.0)",
-    )
-    parser.add_argument(
-        "--min-mediate-per-s", type=float, default=None,
-        help="fail when the fast engine's absolute mediation throughput "
-        "is below this many mediations/second",
-    )
-    parser.add_argument(
-        "--min-registry-speedup", type=float, default=None,
-        help="fail when the indexed-vs-scan capable_providers speedup at "
-        "the largest population point is below this",
-    )
-    parser.add_argument(
-        "--policy", action="append", default=None, metavar="NAME",
-        help="policy to include in the fast-vs-event matrix (repeatable; "
-        "default: the built-in matrix set)",
-    )
-    parser.add_argument(
-        "--scale-providers", action="append", type=int, default=None,
-        metavar="N",
-        help="population size for the scaling axis and the registry "
-        "lookup bench (repeatable; default 120/500/2000/10000, smoke "
-        "120/600)",
-    )
-    parser.add_argument(
-        "--max-n", type=int, default=None,
-        help="cap the population axes at this N (drops larger default "
-        "points; joins the grid itself when above every default point)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=None,
-        help="pin every federation point to this shard count instead of "
-        "the proportional default schedule",
-    )
-    parser.add_argument(
-        "--min-scaling-ratio", type=float, default=None,
-        help="fail when the flat-engine flatness ratio (fast-engine "
-        "throughput at max-N over min-N) is below this",
-    )
-    parser.add_argument(
-        "--min-federation-ratio", type=float, default=None,
-        help="fail when the federation flatness ratio (throughput at the "
-        "largest federated point over the smallest) is below this",
-    )
-    parser.add_argument(
-        "--min-parallel-speedup", type=float, default=None,
-        help="fail when the parallel-federation speedup (serial "
-        "wall-clock over the slowest shard-group slice at the best "
-        "worker count) is below this",
-    )
-    parser.add_argument(
-        "--skip-parity", action="store_true",
-        help="skip the digest-parity runs (timing only)",
-    )
-    args = parser.parse_args(argv)
-
-    from repro.perf.hotpath import format_report, run_bench, write_record
-
-    record = run_bench(
-        smoke=args.smoke,
-        mediations=args.mediations,
-        repeats=args.repeats,
-        check_parity=not args.skip_parity,
-        policies=args.policy,
-        scale_providers=args.scale_providers,
-        max_n=args.max_n,
-        shards=args.shards,
-    )
-    print(format_report(record))
-    if args.json_out:
-        write_record(record, args.json_out)
-        print(f"\nbench record written to {args.json_out}")
-
-    failed = False
-    parity = record.get("parity")
-    if parity is not None and not parity["identical"]:
-        print("FAIL: fast and event engines produced different digests",
-              file=sys.stderr)
-        failed = True
-    if parity is not None and not parity.get("scalar_identical", True):
-        print("FAIL: fused kernel and scalar oracle produced different "
-              "digests", file=sys.stderr)
-        failed = True
-    if args.min_mediate_per_s is not None:
-        mediate_per_s = record["throughput"]["fast"]["mediate_per_s"]
-        if mediate_per_s < args.min_mediate_per_s:
-            print(
-                f"FAIL: fast-engine throughput {mediate_per_s:,.0f}/s is "
-                f"below the required {args.min_mediate_per_s:,.0f}/s",
-                file=sys.stderr,
-            )
-            failed = True
-    speedup = record["speedup"]["fast_vs_seed"]
-    if speedup < args.min_speedup:
-        print(
-            f"FAIL: fast-engine speedup {speedup:.2f}x is below the "
-            f"required {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        failed = True
-    if args.min_scaling_ratio is not None:
-        scaling_ratio = record["speedup"]["scaling_ratio"]
-        if scaling_ratio < args.min_scaling_ratio:
-            print(
-                f"FAIL: scaling flatness {scaling_ratio:.2f}x (fast-engine "
-                f"throughput at max-N over min-N) is below the required "
-                f"{args.min_scaling_ratio:.2f}x",
-                file=sys.stderr,
-            )
-            failed = True
-    if args.min_federation_ratio is not None:
-        flat_ratio = record["federation"]["flat_ratio"]
-        if flat_ratio < args.min_federation_ratio:
-            print(
-                f"FAIL: federation flatness {flat_ratio:.2f}x is below "
-                f"the required {args.min_federation_ratio:.2f}x",
-                file=sys.stderr,
-            )
-            failed = True
-    if args.min_parallel_speedup is not None:
-        parallel_speedup = record["speedup"]["parallel_vs_serial"]
-        if parallel_speedup < args.min_parallel_speedup:
-            print(
-                f"FAIL: parallel-federation speedup {parallel_speedup:.2f}x "
-                f"is below the required {args.min_parallel_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            failed = True
-    if args.min_registry_speedup is not None:
-        registry = record["registry"]
-        largest = max(registry, key=int)
-        registry_speedup = registry[largest]["speedup"]
-        if registry_speedup < args.min_registry_speedup:
-            print(
-                f"FAIL: indexed capable_providers speedup "
-                f"{registry_speedup:.2f}x at N={largest} is below the "
-                f"required {args.min_registry_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            failed = True
-    return 1 if failed else 0
-
+from repro.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["bench", *sys.argv[1:]]))

@@ -1,62 +1,15 @@
-"""Serving-subsystem bench: open-loop throughput + replay parity.
-
-The measurement harness lives in :mod:`repro.perf.servebench` (shared
-with ``sbqa bench --serve``); this script is the standalone / CI entry
-point::
+"""Serving-subsystem bench: ``sbqa bench --serve`` under its CI script name.
 
     PYTHONPATH=src python benchmarks/bench_serve_throughput.py --json BENCH_serve.json
     PYTHONPATH=src python benchmarks/bench_serve_throughput.py --smoke
 
-It streams the three synthetic trace shapes (diurnal, flash-crowd,
-heavy-tail) through the serve path end-to-end -- admission, injection
-chains, incremental clock advancement, streaming quantiles -- and
-reports sustained open-loop queries/second plus p99 ingress-delay and
-response-time quantiles.  A digest-parity check (batch recording vs
-serve replay) rides along; exit status is non-zero when it breaks.
+The harness is :mod:`repro.perf.servebench`; exit status is non-zero
+when the batch-recording vs serve-replay digest parity breaks.
 """
 
-from __future__ import annotations
-
-import argparse
 import sys
 
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="small, CI-sized configuration (shorter traces, one repeat)",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=None,
-        help="timing samples per shape, best-of (default 2; smoke 1)",
-    )
-    parser.add_argument(
-        "--json", dest="json_out", default=None,
-        help="write the bench record (BENCH_serve.json layout) to a file",
-    )
-    args = parser.parse_args(argv)
-
-    from repro.perf.servebench import (
-        format_serve_report,
-        run_serve_bench,
-        write_serve_record,
-    )
-
-    record = run_serve_bench(smoke=args.smoke, repeats=args.repeats)
-    print(format_serve_report(record))
-    if args.json_out:
-        write_serve_record(record, args.json_out)
-        print(f"\nbench record written to {args.json_out}")
-    if not record["parity"]["identical"]:
-        print(
-            "error: serve replay and batch recording produced different "
-            "digests",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
+from repro.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["bench", "--serve", *sys.argv[1:]]))

@@ -20,13 +20,12 @@ The supported way to drive the system is the layered API of
     )
     print(result.comparison_table())
 
-The classic entry points (``scenario3_captive(...)``, ``run_once``,
-manual assembly -- see ``examples/quickstart.py``) keep working; this
-module is a curated facade that resolves every name lazily from its
-defining subpackage, so ``import repro`` stays light.
+The classic entry points (``scenario3_captive(...)``,
+``repro.experiments.runner.run_once``, manual assembly -- see
+``examples/quickstart.py``) keep working; this module is a curated
+facade that resolves every name lazily from its defining subpackage, so
+``import repro`` stays light.
 """
-
-import warnings as _warnings
 
 __version__ = "1.1.0"
 
@@ -89,7 +88,6 @@ _EXPORTS = {
     "PredictionReport": "repro.analysis",
     "predict_departures": "repro.analysis",
     "Comparison": "repro.analysis",
-    "compare_aggregates": "repro.analysis",
     "welch_t_test": "repro.analysis",
     # workloads
     "BoincScenarioParams": "repro.workloads",
@@ -101,8 +99,6 @@ _EXPORTS = {
     "RunResult": "repro.experiments",
     "LiveRun": "repro.experiments",
     "ScenarioResult": "repro.experiments",
-    "run_once": "repro.experiments",
-    "run_replications": "repro.experiments",
     "scenario1_satisfaction_model": "repro.experiments",
     "scenario2_departures": "repro.experiments",
     "scenario3_captive": "repro.experiments",
@@ -112,20 +108,7 @@ _EXPORTS = {
     "scenario7_focal_participant": "repro.experiments",
 }
 
-#: Top-level shims superseded by the layered API; accessing them through
-#: ``repro`` warns once, the canonical homes stay silent.
-_DEPRECATED = {
-    "run_once": "Session(spec).run() / repro.experiments.runner.run_once",
-    "run_replications": (
-        "Session(spec).run() with spec.replications > 1 / "
-        "repro.experiments.replication.run_replications"
-    ),
-}
-
-# Deprecated shims stay importable (`from repro import run_once` works,
-# with a warning) but are excluded from __all__, so enumerating or
-# star-importing the public API does not trigger DeprecationWarning.
-__all__ = sorted(set(_EXPORTS) - set(_DEPRECATED)) + ["__version__"]
+__all__ = sorted(_EXPORTS) + ["__version__"]
 
 
 #: Subpackages reachable as ``repro.<name>`` without an explicit
@@ -147,17 +130,10 @@ def __getattr__(name: str):
         module_name = _EXPORTS[name]
     except KeyError:
         raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
-    if name in _DEPRECATED:
-        _warnings.warn(
-            f"repro.{name} is deprecated; use {_DEPRECATED[name]}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     import importlib
 
     value = getattr(importlib.import_module(module_name), name)
-    if name not in _DEPRECATED:  # cache so __getattr__ (and the warning) fires once
-        globals()[name] = value
+    globals()[name] = value  # cache: __getattr__ fires once per name
     return value
 
 

@@ -25,7 +25,7 @@ from repro.analysis.tables import format_value, render_table
 from repro.analysis.ascii_plot import multi_sparkline, render_series, sparkline
 from repro.analysis.export import rows_to_csv, series_to_csv
 from repro.analysis.prediction import PredictionReport, predict_departures
-from repro.analysis.significance import Comparison, compare_aggregates, welch_t_test
+from repro.analysis.significance import Comparison, welch_t_test
 
 __all__ = [
     "mean",
@@ -45,6 +45,5 @@ __all__ = [
     "PredictionReport",
     "predict_departures",
     "Comparison",
-    "compare_aggregates",
     "welch_t_test",
 ]

@@ -51,14 +51,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, List, Optional, Sequence
-
-from scipy import stats as _scipy_stats
+from typing import List, Optional, Sequence
 
 from repro.analysis.stats import mean
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.replication import AggregateResult
 
 
 @dataclass(frozen=True)
@@ -139,7 +134,16 @@ def welch_t_test(samples_a: Sequence[float], samples_b: Sequence[float]) -> tupl
     dof = pooled**2 / (
         (var_a / n_a) ** 2 / (n_a - 1) + (var_b / n_b) ** 2 / (n_b - 1)
     )
-    p = 2.0 * float(_scipy_stats.t.sf(abs(t), dof))
+    # Imported here, not at module scope: this line is scipy's only
+    # user, and the module is on the import path of every run.
+    try:
+        from scipy import stats as scipy_stats
+    except ImportError as exc:
+        raise ImportError(
+            "welch_t_test needs scipy for the t-distribution CDF; "
+            "install the 'stats' extra (pip install sbqa-repro[stats])"
+        ) from exc
+    p = 2.0 * float(scipy_stats.t.sf(abs(t), dof))
     return t, dof, p
 
 
@@ -182,29 +186,3 @@ def holm_adjust(comparisons: Sequence[Comparison]) -> List[Comparison]:
         for comparison, p in zip(comparisons, adjusted)
     ]
 
-
-def compare_aggregates(
-    a: "AggregateResult",
-    b: "AggregateResult",
-    metric: str,
-) -> Comparison:
-    """Compare one aggregated metric between two policies' replications."""
-    samples_a = [float(run.summary.as_dict()[metric]) for run in a.runs]
-    samples_b = [float(run.summary.as_dict()[metric]) for run in b.runs]
-    if not samples_a or not samples_b:
-        raise ValueError(
-            "both aggregates must retain their runs (keep_runs=True) "
-            "to be compared"
-        )
-    t, dof, p = welch_t_test(samples_a, samples_b)
-    return Comparison(
-        metric=metric,
-        label_a=a.label,
-        label_b=b.label,
-        mean_a=mean(samples_a),
-        mean_b=mean(samples_b),
-        difference=mean(samples_a) - mean(samples_b),
-        t_statistic=t,
-        degrees_of_freedom=dof,
-        p_value=p,
-    )

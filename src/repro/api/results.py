@@ -4,9 +4,8 @@ One :class:`Session.run` produces one :class:`ExperimentResult`: a
 :class:`PolicyResult` per compared policy, each holding the per-
 replication :class:`RunSummary` values (and, in serial mode, the full
 :class:`RunResult` objects for deep inspection).  The aggregate unifies
-what ``RunResult`` / ``AggregateResult`` / ``ScenarioResult`` exposed
-separately: comparison tables, mean +- stdev cells, CSV and JSON
-export.
+what ``RunResult`` / ``ScenarioResult`` exposed separately: comparison
+tables, mean +- stdev cells, CSV and JSON export.
 
 One :class:`SweepSession.run` produces one :class:`SweepResult`: a
 :class:`SweepPointResult` (point metadata + the point's
@@ -36,18 +35,38 @@ from typing import (
 )
 
 from repro.analysis.export import rows_to_csv
+from repro.analysis.significance import Comparison, holm_adjust, welch_t_test
 from repro.analysis.stats import mean, stdev
 from repro.analysis.tables import render_table
 from repro.experiments.config import PolicySpec
-from repro.experiments.replication import AGGREGATED_FIELDS, AggregateResult
 from repro.experiments.report import DEFAULT_COLUMNS, _HEADERS
 from repro.metrics.summary import RunSummary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.significance import Comparison
     from repro.api.spec import ExperimentSpec
     from repro.api.sweep import SweepPoint, SweepSpec
     from repro.experiments.runner import RunResult
+
+#: Summary fields aggregated across replications.
+AGGREGATED_FIELDS = (
+    "mean_rt",
+    "p95_rt",
+    "tail_rt",
+    "throughput",
+    "failure_rate",
+    "consumer_sat_final",
+    "provider_sat_final",
+    "consumer_sat_mean",
+    "provider_sat_mean",
+    "providers_remaining",
+    "consumers_remaining",
+    "provider_departures",
+    "consumer_departures",
+    "capacity_remaining_fraction",
+    "utilization_gini",
+    "work_gini",
+    "coordination_messages",
+)
 
 #: Metrics the sweep digest compares pairwise between policies.
 DEFAULT_COMPARISON_METRICS = (
@@ -153,16 +172,6 @@ class PolicyResult:
 
     def __getitem__(self, key: str) -> float:
         return mean(self.values(key))
-
-    def aggregate(self) -> AggregateResult:
-        """Bridge to the legacy :class:`AggregateResult` shape."""
-        return AggregateResult(
-            label=self.label,
-            replications=self.replications,
-            means=self.means,
-            stdevs=self.stdevs,
-            runs=list(self.runs),
-        )
 
 
 @dataclass
@@ -303,7 +312,7 @@ class SweepPointResult:
 
     def comparisons(
         self, metrics: Sequence[str] = DEFAULT_COMPARISON_METRICS
-    ) -> List["Comparison"]:
+    ) -> List[Comparison]:
         """Pairwise Welch t-tests between this point's policies.
 
         The whole point -- every policy pair on every metric -- is one
@@ -313,14 +322,6 @@ class SweepPointResult:
         when the point ran fewer than two replications (a t-test needs
         within-cell spread) or compares fewer than two policies.
         """
-        # Local import: repro.analysis.significance pulls in scipy,
-        # which should not tax `import repro.api` or CLI startup.
-        from repro.analysis.significance import (
-            Comparison,
-            holm_adjust,
-            welch_t_test,
-        )
-
         results: List[Comparison] = []
         if len(self.policies) < 2:
             return results
@@ -418,8 +419,6 @@ class SweepResult:
         ``significant`` is None when the sweep cannot support a t-test
         (single cell, or fewer than two replications per cell).
         """
-        from repro.analysis.significance import welch_t_test
-
         minimize = metric_minimizes(metric)
         ranked = self._ranked_cells(metric, minimize)
         best_point, best_policy = ranked[0]
@@ -451,7 +450,7 @@ class SweepResult:
 
     def comparisons(
         self, metrics: Sequence[str] = DEFAULT_COMPARISON_METRICS
-    ) -> Dict[str, List["Comparison"]]:
+    ) -> Dict[str, List[Comparison]]:
         """Per-point pairwise Welch comparisons, keyed by point label."""
         return {point.label: point.comparisons(metrics) for point in self.points}
 

@@ -78,9 +78,11 @@ from typing import (
 )
 
 from repro.analysis.export import rows_to_csv
+from repro.analysis.significance import holm_correction, welch_t_test
 from repro.analysis.stats import mean
 from repro.analysis.tables import render_table
 from repro.api.results import (
+    AGGREGATED_FIELDS,
     ExperimentResult,
     PolicyResult,
     SweepPointResult,
@@ -91,7 +93,6 @@ from repro.api.serialization import versioned_payload
 from repro.api.session import _execute_keyed_task, resolve_worker_count
 from repro.api.sweep import SweepPoint, SweepSpec
 from repro.experiments.config import PolicySpec
-from repro.experiments.replication import AGGREGATED_FIELDS
 from repro.experiments.runner import run_once
 from repro.metrics.summary import RunSummary
 
@@ -1025,8 +1026,6 @@ class TuneSession:
         the spec's ``alpha``.  With one replication, or one survivor,
         nothing can be tested and everything is promoted.
         """
-        from repro.analysis.significance import holm_correction, welch_t_test
-
         spec = self.spec
         values = {
             index: state.objective_values(index, reps) for index in survivors

@@ -269,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench",
         help="benchmark the hot-path allocation engine: mediation "
-        "throughput (fast vs event vs seed-baseline) plus a fast/event "
-        "digest-parity check; see docs/performance.md",
+        "throughput (fused vs scalar vs event) plus the fast/event and "
+        "fused/scalar digest-parity checks; see docs/performance.md",
     )
     bench.add_argument(
         "--smoke", action="store_true",
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--min-speedup", type=float, default=2.0,
         help="fail (exit 1) when the fast engine's mediation throughput "
-        "is below this multiple of the seed baseline (default 2.0)",
+        "is below this multiple of the event engine's (default 2.0)",
     )
     bench.add_argument(
         "--min-mediate-per-s", type=float, default=None,
@@ -307,9 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--scale-providers", action="append", type=int, default=None,
         metavar="N",
-        help="population size for the scaling axis and the registry "
-        "lookup bench (repeatable; default 120/500/2000/10000, smoke "
-        "120/600)",
+        help="population size for the scaling axis (repeatable; default "
+        "120/500/2000/10000, smoke 120/600)",
     )
     bench.add_argument(
         "--max-n", type=int, default=None,
@@ -337,6 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail (exit 1) when the parallel-federation speedup "
         "(serial wall-clock over the slowest shard-group slice at the "
         "best worker count) is below this",
+    )
+    bench.add_argument(
+        "--skip-parity", action="store_true",
+        help="skip the digest-parity runs (timing only)",
     )
     bench.add_argument(
         "--serve", action="store_true",
@@ -1219,14 +1222,22 @@ def _run_bench(args: argparse.Namespace) -> int:
         if args.json_out:
             write_serve_record(record, args.json_out)
             print(f"\nbench record written to {args.json_out}")
+        if not record["parity"]["identical"]:
+            print(
+                "error: serve replay and batch recording produced different "
+                "digests",
+                file=sys.stderr,
+            )
+            return 1
         return 0
 
-    from repro.perf.hotpath import format_report, run_bench, write_record
+    from repro.perf.hotpath import format_report, gate_failures, run_bench, write_record
 
     record = run_bench(
         smoke=args.smoke,
         mediations=args.mediations,
         repeats=args.repeats,
+        check_parity=not args.skip_parity,
         policies=args.policy,
         scale_providers=args.scale_providers,
         max_n=args.max_n,
@@ -1236,67 +1247,17 @@ def _run_bench(args: argparse.Namespace) -> int:
     if args.json_out:
         write_record(record, args.json_out)
         print(f"\nbench record written to {args.json_out}")
-    parity = record["parity"]
-    if not parity["identical"]:
-        print(
-            "error: fast and event engines produced different digests",
-            file=sys.stderr,
-        )
-        return 1
-    if not parity.get("scalar_identical", True):
-        print(
-            "error: fused kernel and scalar oracle produced different "
-            "digests",
-            file=sys.stderr,
-        )
-        return 1
-    if args.min_mediate_per_s is not None:
-        mediate_per_s = record["throughput"]["fast"]["mediate_per_s"]
-        if mediate_per_s < args.min_mediate_per_s:
-            print(
-                f"error: fast-engine throughput {mediate_per_s:,.0f}/s is "
-                f"below the required {args.min_mediate_per_s:,.0f}/s",
-                file=sys.stderr,
-            )
-            return 1
-    speedup = record["speedup"]["fast_vs_seed"]
-    if speedup < args.min_speedup:
-        print(
-            f"error: fast-engine speedup {speedup:.2f}x is below the "
-            f"required {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    if args.min_scaling_ratio is not None:
-        scaling_ratio = record["speedup"]["scaling_ratio"]
-        if scaling_ratio < args.min_scaling_ratio:
-            print(
-                f"error: scaling flatness {scaling_ratio:.2f}x (fast-engine "
-                f"throughput at max-N over min-N) is below the required "
-                f"{args.min_scaling_ratio:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-    if args.min_federation_ratio is not None:
-        flat_ratio = record["federation"]["flat_ratio"]
-        if flat_ratio < args.min_federation_ratio:
-            print(
-                f"error: federation flatness {flat_ratio:.2f}x is below "
-                f"the required {args.min_federation_ratio:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-    if args.min_parallel_speedup is not None:
-        parallel_speedup = record["speedup"]["parallel_vs_serial"]
-        if parallel_speedup < args.min_parallel_speedup:
-            print(
-                f"error: parallel-federation speedup "
-                f"{parallel_speedup:.2f}x is below the required "
-                f"{args.min_parallel_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
+    failures = gate_failures(
+        record,
+        min_speedup=args.min_speedup,
+        min_mediate_per_s=args.min_mediate_per_s,
+        min_scaling_ratio=args.min_scaling_ratio,
+        min_federation_ratio=args.min_federation_ratio,
+        min_parallel_speedup=args.min_parallel_speedup,
+    )
+    for failure in failures:
+        print(f"error: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:

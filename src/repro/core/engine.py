@@ -45,7 +45,6 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Optional
 
-import repro.core.scoring as _scoring
 from repro.core.mediator import Mediator
 from repro.core.policy import AllocationContext
 from repro.core.soa import ConsultColumns, LazyAllocationRecord, fused_policy_supported
@@ -58,6 +57,14 @@ ENGINE_MODES = ("fast", "event")
 
 #: Default engine for newly constructed configs/specs.
 DEFAULT_ENGINE = "fast"
+
+#: Private hook for the differential tests and ``repro.perf``: set to
+#: False before constructing a :class:`FastMediator` to run every
+#: mediation through the scalar reference (``select_fast`` +
+#: ``_commit``) and compare it with the fused kernel.  Not
+#: configuration -- no flag, config field or environment variable
+#: reads or sets it.
+_FUSED_KERNEL = True
 
 
 def resolve_engine(engine: str) -> str:
@@ -341,9 +348,6 @@ class FastMediator(Mediator):
         self._ctx = AllocationContext(now=0.0, trace=NULL_RECORDER)
         # The fused structure-of-arrays kernel (see repro.core.soa) is
         # the default mediation path; it engages when
-        #  * the scoring backend is not pinned to the scalar oracle
-        #    (SBQA_SCORING_BACKEND=scalar routes every mediation through
-        #    select_fast, the differential-testing reference);
         #  * the policy is exactly SbQAPolicy with a built-in omega;
         #  * the latency model has a positive constant one-way delay
         #    (the same condition the collapsed dispatch requires).
@@ -354,8 +358,8 @@ class FastMediator(Mediator):
         if (
             c is not None
             and c > 0.0
-            and _scoring._DEFAULT_BACKEND != "python"
             and fused_policy_supported(self.policy)
+            and _FUSED_KERNEL
         ):
             self._fused_columns = {}
 

@@ -242,16 +242,11 @@ class SbQAPolicy(AllocationPolicy):
                 for p in working
             ]
 
-        # backend pinned to the python loop: it is the only backend
-        # guaranteed bit-identical to the scalar kernel select() uses,
-        # and the engine parity contract must not hinge on the
-        # SBQA_SCORING_BACKEND environment.
         scores = score_providers_batch(
             provider_intention_list,
             consumer_intention_list,
             omega_list,
             self.config.epsilon,
-            backend="python",
             validate=False,
         )
 

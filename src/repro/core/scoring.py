@@ -27,79 +27,25 @@ Properties (all covered by tests):
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 #: The paper: "Parameter eps > 0, usually set to 1".
 DEFAULT_EPSILON = 1.0
 
-#: Environment switch for the scoring backend.  Two spellings per
-#: backend: ``scalar`` (alias ``python``) is the reference kernel --
-#: bit-identical to :func:`sqlb_score`, and the parity *oracle* the
-#: differential tests replay against -- while ``vectorized`` (alias
-#: ``numpy``) is the default batch kernel.  numpy's ``pow`` can differ
-#: from CPython's by the final ulp, so every digest-critical path (the
-#: allocation engines, the event-faithful policy ``select``) pins
-#: ``backend="python"`` explicitly: the fast/event bit-parity contract
-#: cannot be voided from the environment.  The switch is read once at
-#: import (the batch kernel sits on the mediation hot path); the fast
-#: engine also consults it, at mediator construction, to decide
-#: between its fused structure-of-arrays kernel (default) and the
-#: scalar oracle path (``SBQA_SCORING_BACKEND=scalar``).
-SCORING_BACKEND_ENV = "SBQA_SCORING_BACKEND"
 
-#: Accepted backend spellings -> canonical backend name.
-BACKEND_ALIASES = {
-    "python": "python",
-    "scalar": "python",
-    "numpy": "numpy",
-    "vectorized": "numpy",
-}
+def resolve_backend() -> str:
+    """Report the fast engine's kernel switch: "fused" or "python".
 
-try:  # gated: the toolchain may not ship numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment without numpy
-    _np = None
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Canonical backend name ("python" | "numpy") for any spelling.
-
-    ``None`` resolves to the import-time default: the value of
-    ``SBQA_SCORING_BACKEND`` when set, else ``vectorized`` when numpy
-    is importable and ``scalar`` otherwise.
+    Called only by the frozen benchmark under ``bench/``, which records
+    the value and checks it is not ``"python"`` on its fused workload.
+    Nothing is selected here -- there is one scoring kernel.
     """
-    if backend is None:
-        return _DEFAULT_BACKEND
-    try:
-        return BACKEND_ALIASES[backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown scoring backend {backend!r}; valid: "
-            f"{', '.join(sorted(BACKEND_ALIASES))}"
-        ) from None
+    # Function-level import: the engine imports (through soa and sbqa)
+    # this module, which otherwise imports nothing from the package.
+    from repro.core import engine
 
-
-def _resolve_default() -> str:
-    configured = os.environ.get(SCORING_BACKEND_ENV)
-    if configured is None:
-        return "numpy" if _np is not None else "python"
-    resolved = BACKEND_ALIASES.get(configured)
-    if resolved is None:
-        raise ValueError(
-            f"unknown {SCORING_BACKEND_ENV} value {configured!r}; valid: "
-            f"{', '.join(sorted(BACKEND_ALIASES))}"
-        )
-    if resolved == "numpy" and _np is None:  # pragma: no cover - no-numpy env
-        raise RuntimeError(
-            f"{SCORING_BACKEND_ENV}={configured} requested but numpy is "
-            "not importable; use 'scalar'"
-        )
-    return resolved
-
-
-_DEFAULT_BACKEND = _resolve_default()
+    return "fused" if engine._FUSED_KERNEL else "python"
 
 
 def sqlb_score(
@@ -149,7 +95,6 @@ def score_providers_batch(
     consumer_intentions: Sequence[float],
     omegas: Sequence[float],
     epsilon: float = DEFAULT_EPSILON,
-    backend: Optional[str] = None,
     validate: bool = True,
 ) -> List[float]:
     """Definition 3 over a whole candidate set in one pass.
@@ -169,20 +114,12 @@ def score_providers_batch(
         it is a sequence, not a scalar).
     epsilon:
         Strictly positive guard of the negative branch.
-    backend:
-        Any :data:`BACKEND_ALIASES` spelling (``"scalar"``/``"python"``
-        or ``"vectorized"``/``"numpy"``); ``None`` (default) uses the
-        value the ``SBQA_SCORING_BACKEND`` environment variable held at
-        import time (``vectorized`` when unset and numpy is
-        importable).  The vectorized backend may differ from the scalar
-        kernel by the final ulp, which is why digest-critical callers
-        pin ``backend="python"``.
     validate:
-        Range-check every input (the scalar kernel's behaviour); both
-        backends reject out-of-range and non-finite (inf/NaN) inputs
-        identically.  The mediation hot path passes False: its inputs
-        come from intention models (clamped into [-1, 1]) and omega
-        policies (constructed in [0, 1]), so the checks cannot fire.
+        Range-check every input, rejecting out-of-range and non-finite
+        (inf/NaN) values exactly as :func:`sqlb_score` does.  The
+        mediation hot path passes False: its inputs come from intention
+        models (clamped into [-1, 1]) and omega policies (constructed
+        in [0, 1]), so the checks cannot fire.
     """
     n = len(provider_intentions)
     if len(consumer_intentions) != n or len(omegas) != n:
@@ -193,21 +130,9 @@ def score_providers_batch(
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be strictly positive, got {epsilon}")
 
-    backend = resolve_backend(backend)
-    if backend == "numpy":
-        if _np is None:
-            raise RuntimeError(
-                "numpy backend requested but numpy is not importable; "
-                "use backend='python'"
-            )
-        return _score_batch_numpy(
-            provider_intentions, consumer_intentions, omegas, epsilon, validate
-        )
-
     if validate:
         # A NaN fails every range comparison, so non-finite inputs are
-        # rejected by the same check that bounds the range -- matching
-        # the scalar kernel and the vectorized path's isfinite mask.
+        # rejected by the same check that bounds the range.
         for pi in provider_intentions:
             if not -1.0 <= pi <= 1.0:
                 raise ValueError(f"provider intention must be in [-1, 1], got {pi}")
@@ -231,52 +156,6 @@ def score_providers_batch(
                 )
             )
     return scores
-
-
-def _validate_column_numpy(values, low: float, high: float, what: str) -> None:
-    """Vectorized range check matching the scalar kernel's rejection.
-
-    ``asarray`` silently coerces integers (and integer arrays) to
-    float64, which is fine -- but it coerces inf/NaN just as silently,
-    and a NaN sails through ``>`` comparisons into the negative branch
-    instead of raising like the scalar kernel does.  The isfinite mask
-    closes that gap; the reported value is the first offender, like the
-    scalar loop's.
-    """
-    bad = ~(_np.isfinite(values) & (values >= low) & (values <= high))
-    if bad.any():
-        offender = values[bad][0]
-        raise ValueError(f"{what} must be in [{low:g}, {high:g}], got {offender}")
-
-
-def _score_batch_numpy(
-    provider_intentions: Sequence[float],
-    consumer_intentions: Sequence[float],
-    omegas: Sequence[float],
-    epsilon: float,
-    validate: bool = True,
-) -> List[float]:
-    """Vectorised Definition 3; same branch arithmetic as the scalar form."""
-    pi = _np.asarray(provider_intentions, dtype=_np.float64)
-    ci = _np.asarray(consumer_intentions, dtype=_np.float64)
-    omega = _np.asarray(omegas, dtype=_np.float64)
-    if validate:
-        _validate_column_numpy(pi, -1.0, 1.0, "provider intention")
-        _validate_column_numpy(ci, -1.0, 1.0, "consumer intention")
-        _validate_column_numpy(omega, 0.0, 1.0, "omega")
-    positive = (pi > 0.0) & (ci > 0.0)
-    # Compute each branch only where it applies: the positive branch's
-    # pi ** omega is undefined (complex) for negative intentions.
-    scores = _np.empty_like(pi)
-    scores[positive] = pi[positive] ** omega[positive] * (
-        ci[positive] ** (1.0 - omega[positive])
-    )
-    negative = ~positive
-    scores[negative] = -(
-        ((1.0 - pi[negative] + epsilon) ** omega[negative])
-        * ((1.0 - ci[negative] + epsilon) ** (1.0 - omega[negative]))
-    )
-    return [float(s) for s in scores]
 
 
 @dataclass(frozen=True)

@@ -160,11 +160,9 @@ class Simulator:
         pair, in iteration order (seq numbers are assigned in that
         order, so tie-breaking among same-instant events is unchanged).
         The win is mechanical: one attribute-resolution of the heap,
-        clock and seq per *batch* instead of per event, and -- when the
-        batch rivals the live heap in size -- one ``heapify`` over the
-        extended list instead of ``m`` sift-ups.  Used by the fast
-        engine's collapsed dispatch, whose per-allocation drain fan-out
-        posts one event per distinct finish instant.
+        clock and seq per *batch* instead of per event.  Used by the
+        fast engine's collapsed dispatch, whose per-allocation drain
+        fan-out posts one event per distinct finish instant (1-3).
         """
         heap = self._heap
         now = self._now
@@ -176,18 +174,9 @@ class Simulator:
             entries.append((now + delay, DEFAULT_PRIORITY, seq, _Posted(action)))
             seq += 1
         self._seq = seq
-        if not entries:
-            return
-        # Crossover: heapify is O(n + m) against m pushes at O(m log n);
-        # for the small fan-outs the dispatch path produces, pushes win
-        # until the batch is a sizable fraction of the heap.
-        if len(entries) * 4 >= len(heap):
-            heap.extend(entries)
-            heapq.heapify(heap)
-        else:
-            push = heapq.heappush
-            for entry in entries:
-                push(heap, entry)
+        push = heapq.heappush
+        for entry in entries:
+            push(heap, entry)
 
     # ------------------------------------------------------------------
     # Execution

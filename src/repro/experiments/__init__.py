@@ -5,8 +5,6 @@
 * :mod:`repro.experiments.runner` -- wires kernel + population +
   mediator + arrivals + churn + metrics and executes one run
   (:func:`wire_run` / :class:`LiveRun` for incremental stepping);
-* :mod:`repro.experiments.replication` -- replicate a run over seeds
-  and aggregate mean +- stdev;
 * :mod:`repro.experiments.scenarios` -- Scenario 1-7 of the demo
   (Section IV), each returning a :class:`ScenarioResult` with the
   comparison tables, the sampled series and machine-checked claims;
@@ -28,8 +26,6 @@ _EXPORTS = {
     "run_once": "repro.experiments.runner",
     "run_policies": "repro.experiments.runner",
     "wire_run": "repro.experiments.runner",
-    "AggregateResult": "repro.experiments.replication",
-    "run_replications": "repro.experiments.replication",
     "render_comparison": "repro.experiments.report",
     "render_claims": "repro.experiments.report",
     "render_run_series": "repro.experiments.report",
@@ -53,7 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         ExperimentConfig,
         PolicySpec,
     )
-    from repro.experiments.replication import AggregateResult, run_replications
     from repro.experiments.report import (
         render_claims,
         render_comparison,
@@ -80,7 +75,7 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     )
 
 
-_SUBMODULES = frozenset({"config", "replication", "report", "runner", "scenarios"})
+_SUBMODULES = frozenset({"config", "report", "runner", "scenarios"})
 
 
 def __getattr__(name: str):

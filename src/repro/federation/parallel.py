@@ -67,7 +67,7 @@ sample rows on the shared sample grid.  The parent
 2. repopulates a real :class:`~repro.metrics.collectors.MetricsHub`,
    replaying each sample instant with the *exact* serial arithmetic
    (``mean``/``stdev``/``gini`` over registration-ordered rows,
-   ``_aggregate_sum`` for capacity) so every series float is identical
+   plain ``sum`` for capacity) so every series float is identical
    to the last ulp;
 3. rebuilds the final registry/mediator/network state from per-worker
    harvests (ownership is a partition, so each participant's final
@@ -97,7 +97,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     # imports this package, so a top-level import would be circular.
     from repro.experiments.config import ExperimentConfig, PolicySpec
 from repro.metrics.summary import build_summary
-from repro.system.registry import _aggregate_sum
 from repro.workloads.preferences import ARCHETYPES
 
 
@@ -530,7 +529,7 @@ class _MergedRegistry:
     """Final-state registry view satisfying ``build_summary``'s reads.
 
     ``total_capacity`` replicates ``SystemRegistry.total_capacity``
-    exactly: ``_aggregate_sum`` over capacities in registration order
+    exactly: ``sum`` over capacities in registration order
     (online-filtered in registration order for ``online_only``)."""
 
     def __init__(self, consumers, providers) -> None:
@@ -553,7 +552,7 @@ class _MergedRegistry:
 
     def total_capacity(self, online_only: bool = True) -> float:
         providers = self.online_providers() if online_only else self.providers
-        return _aggregate_sum([p.capacity for p in providers])
+        return sum([p.capacity for p in providers])
 
 
 class _MergedPopulation:
@@ -691,9 +690,7 @@ def _replay_samples(
         hub.consumers_online.append(t, float(len(cons_online)))
         hub.total_capacity.append(
             t,
-            _aggregate_sum(
-                [capacity_of[o] for o, _, _, online in prow if online]
-            ),
+            sum([capacity_of[o] for o, _, _, online in prow if online]),
         )
 
         csat = {o: sat for o, sat, _ in crow}

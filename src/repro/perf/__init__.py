@@ -1,10 +1,10 @@
 """Performance measurement harnesses for the hot-path engine.
 
 :mod:`repro.perf.hotpath` measures mediation throughput across the
-fast engine, the event-faithful engine, and a reconstruction of the
-pre-engine ("seed") hot path, and checks fast/event digest parity.
-``benchmarks/bench_core_hotpath.py`` and ``sbqa bench`` are thin
-wrappers around it; ``BENCH_core.json`` records its output.
+fast engine (fused kernel and scalar path) and the event-faithful
+engine, and checks their digest parity.  ``sbqa bench`` drives it
+(``benchmarks/bench_core_hotpath.py`` is that command under its CI
+script name); ``BENCH_core.json`` records its output.
 """
 
 from repro.perf.hotpath import run_bench  # noqa: F401

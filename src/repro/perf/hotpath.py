@@ -5,25 +5,18 @@ engine (:mod:`repro.core.engine`) and extended by the indexed registry
 and the universal policy fast paths:
 
 * **Mediation throughput** -- how many ``Mediator.mediate`` calls per
-  second a mediation-bound system sustains, for four configurations:
+  second a mediation-bound system sustains, for three configurations:
 
   - ``fast``: :class:`~repro.core.engine.FastMediator` +
     :class:`~repro.core.engine.FastNetwork` running the fused
     structure-of-arrays kernel (:mod:`repro.core.soa`): ordinal
     columns, inlined stage-1 sampling, one-pass consult/score/rank,
     lazy allocation records;
-  - ``fast_scalar``: the same engine pinned to the scalar oracle path
-    (``SBQA_SCORING_BACKEND=scalar`` -> ``select_fast`` + ``_commit``),
-    the differential-testing reference the fused kernel must match
-    digest for digest;
-  - ``event``: the event-faithful reference core as it stands today
-    (already carrying the shared O(1) satisfaction windows and the
-    registry capability snapshots);
-  - ``seed_baseline``: the event core with the *pre-engine* hot path
-    reconstructed -- per-read ``mean(deque)`` satisfaction
-    recomputation, eagerly formatted trace payloads, and a per-query
-    ``can_serve`` scan over every registered provider -- i.e. what
-    every mediation cost before this engine landed.
+  - ``fast_scalar``: the same engine with the fused kernel switched
+    off (``select_fast`` + ``_commit``), the differential-testing
+    reference the fused kernel must match digest for digest;
+  - ``event``: the event-faithful reference core (sharing the O(1)
+    satisfaction windows and the registry capability snapshots).
 
 * **Policy dimension** -- the same fast-vs-event split for every
   allocation technique: since every policy implements ``select_fast``,
@@ -39,11 +32,6 @@ and the universal policy fast paths:
   (:mod:`repro.federation`), N scaled to 100k with K grown
   proportionally: per-mediation cost should stay flat because every
   query routes O(1) to a home shard holding ~N/K providers.
-
-* **Registry lookup** -- ``capable_providers`` under topic-restricted
-  capabilities: the incremental per-topic index + snapshot cache
-  versus the pre-index linear scan, with background churn forcing
-  periodic snapshot rebuilds.
 
 * **Digest parity** -- byte-identical ``ExperimentResult`` JSON
   digests between the fast and event engines on a mixed scenario
@@ -61,24 +49,17 @@ from __future__ import annotations
 import json
 import platform
 import time
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
-import repro.core.scoring as _scoring
+import repro.core.engine as _engine
 from repro.allocation.factory import make_policy
 from repro.core.engine import FastMediator, FastNetwork
 from repro.core.intentions import PreferenceUtilizationIntentions
 from repro.core.mediator import Mediator
-from repro.core.satisfaction import (
-    ConsumerSatisfactionTracker,
-    NEUTRAL_SATISFACTION,
-    ProviderSatisfactionTracker,
-    intention_to_unit,
-)
 from repro.core.sbqa import SbQAConfig, SbQAPolicy
 from repro.des.network import FixedLatency, Network
-from repro.des.rng import RandomRoot, RandomStream
+from repro.des.rng import RandomRoot
 from repro.des.scheduler import Simulator
-from repro.des.tracing import NULL_RECORDER, TraceRecorder
 from repro.system.consumer import Consumer
 from repro.system.provider import Provider
 from repro.system.query import Query
@@ -86,22 +67,23 @@ from repro.system.registry import SystemRegistry
 
 #: Layout tag written into the bench record / BENCH_core.json.
 #: Version 2 added the policy matrix, the N-providers scaling axis and
-#: the registry-lookup section.  Version 3 added the scoring-backend
-#: split (``fast`` = fused SoA kernel, ``fast_scalar`` = the scalar
-#: oracle path) and the three-way parity record.  Version 4 extended
+#: the registry-lookup section.  Version 3 added the kernel split
+#: (``fast`` = fused SoA kernel, ``fast_scalar`` = the scalar oracle
+#: path) and the three-way parity record.  Version 4 extended
 #: the scaling axis to 10000 providers, added ``speedup.scaling_ratio``
 #: (the flatness gate) and the ``federation`` section (sharded
 #: multi-mediator throughput, N scaled to 100k with K shards).
 #: Version 5 added the ``parallel_federation`` section (process-parallel
 #: shard-group execution, slice-max methodology) and
-#: ``speedup.parallel_vs_serial``.
-BENCH_VERSION = 5
+#: ``speedup.parallel_vs_serial``.  Version 6 removed the
+#: ``seed_baseline`` configuration, ``speedup.{fast,event}_vs_seed`` and
+#: the ``registry`` section.
+BENCH_VERSION = 6
 
 #: Engines measured by the throughput kernel, in reporting order.
-#: ``fast`` runs the fused structure-of-arrays kernel (the default when
-#: numpy is importable); ``fast_scalar`` pins the fast engine to the
-#: scalar select_fast/_commit oracle path (SBQA_SCORING_BACKEND=scalar).
-CONFIGURATIONS = ("fast", "fast_scalar", "event", "seed_baseline")
+#: ``fast`` runs the fused structure-of-arrays kernel; ``fast_scalar``
+#: switches it off, leaving the scalar select_fast/_commit oracle path.
+CONFIGURATIONS = ("fast", "fast_scalar", "event")
 
 #: Policies measured by the policy matrix, in reporting order.
 #: (boinc-shares is benchable too -- the builder grants every provider
@@ -117,84 +99,6 @@ SCALING_PROVIDERS = (120, 500, 2000, 10000)
 #: the flat-mediator working set (~2000), which is the scaling claim --
 #: mediations/s at N=100k/K=50 should stay within 20% of N=2000/K=1.
 FEDERATION_POINTS = ((2000, 1), (10000, 5), (100000, 50))
-
-
-# ----------------------------------------------------------------------
-# Seed-baseline reconstruction
-# ----------------------------------------------------------------------
-
-
-class SeedConsumerTracker(ConsumerSatisfactionTracker):
-    """Pre-engine Definition-1 window: re-sums the deque on every read."""
-
-    def satisfaction(self, default: float = NEUTRAL_SATISFACTION) -> float:
-        if not self._satisfactions:
-            return default
-        return sum(self._satisfactions) / len(self._satisfactions)
-
-
-class SeedProviderTracker(ProviderSatisfactionTracker):
-    """Pre-engine Definition-2 window: filters + re-sums on every read."""
-
-    def satisfaction(self, default: float = NEUTRAL_SATISFACTION) -> float:
-        if not self._proposals:
-            return default
-        performed = [intention for intention, done in self._proposals if done]
-        if not performed:
-            return 0.0
-        return sum(intention_to_unit(i) for i in performed) / len(performed)
-
-
-class SeedTraceCost(TraceRecorder):
-    """Enabled-but-dropping recorder: reproduces the pre-engine cost of
-    building every trace payload f-string whether or not anyone
-    listens (tracing only became lazy with the engine PR)."""
-
-    def __init__(self) -> None:
-        super().__init__(enabled=True)
-
-    def record(self, time: float, category: str, message: str, **data) -> None:
-        return None
-
-
-class SeedRegistry(SystemRegistry):
-    """Pre-engine capability lookup: one ``can_serve`` call (and dict
-    probe) per registered provider per query, even when no provider
-    declares topic restrictions."""
-
-    def capable_snapshot(self, topic):
-        # The seed baseline predates indexes and snapshots entirely:
-        # one can_serve call (and dict probe) per registered provider
-        # per lookup, plus the list build.
-        return [
-            p
-            for p in self._providers.values()
-            if p.online and self.can_serve(p, topic)
-        ]
-
-    def capable_providers(self, query):
-        return self.capable_snapshot(query.topic)
-
-
-class SeedProvider(Provider):
-    """Pre-engine load read: ``utilization`` chained through the
-    ``backlog_seconds`` property instead of inlining the arithmetic."""
-
-    @property
-    def utilization(self) -> float:
-        return min(1.0, self.backlog_seconds / self.saturation_horizon)
-
-
-class SeedRandomStream(RandomStream):
-    """Pre-engine stage-1 sampling: defensive population copy plus the
-    stdlib ``random.sample`` (one ``_randbelow`` frame per drawn
-    index).  Draw-for-draw identical to the inlined replica."""
-
-    def sample(self, items, k):
-        if k < 0:
-            raise ValueError(f"sample size must be non-negative, got {k}")
-        k = min(k, len(items))
-        return self._rng.sample(list(items), k)
 
 
 # ----------------------------------------------------------------------
@@ -221,13 +125,13 @@ def build_mediation_system(
     selects the engine per :data:`CONFIGURATIONS`; ``policy`` selects
     the allocation technique (every provider carries a resource share
     for the bench consumer so the boinc-shares baseline is benchable
-    too).  The seed-baseline reconstruction exists for SbQA only.
+    too).
 
     ``shards > 1`` fronts the population with a consistent-hash
     federation (:mod:`repro.federation`): the returned mediator is the
     :class:`~repro.federation.mediator.FederatedMediator` facade and
     each ``mediate`` pays the O(1) route before the home shard's
-    kernel.  The seed baseline predates federation and rejects it.
+    kernel.
 
     ``consumers > 1`` builds ``c0..c{C-1}`` so query topics spread
     across a federation's shards (the parallel-federation axis needs
@@ -241,21 +145,15 @@ def build_mediation_system(
             f"unknown configuration {configuration!r}; "
             f"valid: {', '.join(CONFIGURATIONS)}"
         )
-    fast = configuration in ("fast", "fast_scalar")
-    seed_baseline = configuration == "seed_baseline"
-    if seed_baseline and policy != "sbqa":
-        raise ValueError("the seed-baseline reconstruction is SbQA-only")
-    if seed_baseline and shards > 1:
-        raise ValueError("the seed-baseline reconstruction predates federation")
+    fast = configuration != "event"
 
     sim = Simulator()
     latency = FixedLatency(0.05)
     network = (FastNetwork if fast else Network)(sim, latency)
-    registry = (SeedRegistry if seed_baseline else SystemRegistry)()
+    registry = SystemRegistry()
     root = RandomRoot(seed)
     stream = root.stream("hotpath/prefs")
     shared_model = PreferenceUtilizationIntentions()
-    provider_cls = SeedProvider if seed_baseline else Provider
     # Draw every provider's attributes in id order first, so the RNG
     # stream is identical whatever the construction order below.
     draws = [
@@ -282,7 +180,7 @@ def build_mediation_system(
     providers: list = [None] * n_providers
     for i in build_order:
         capacity, preference = draws[i]
-        providers[i] = provider_cls(
+        providers[i] = Provider(
             sim,
             network,
             participant_id=f"p{i:03d}",
@@ -294,8 +192,6 @@ def build_mediation_system(
         )
     for provider in providers:
         registry.add_provider(provider)
-        if seed_baseline:
-            provider.tracker = SeedProviderTracker(memory=memory)
     consumer_objs = []
     for cid in consumer_ids:
         consumer = Consumer(
@@ -307,28 +203,23 @@ def build_mediation_system(
             },
             memory=memory,
         )
-        if seed_baseline:
-            consumer.tracker = SeedConsumerTracker(memory=memory)
         registry.add_consumer(consumer)
         consumer_objs.append(consumer)
     consumer = consumer_objs[0]
 
     def _make_policy(policy_root):
         if policy == "sbqa":
-            knbest_stream = policy_root.stream("hotpath/knbest")
-            if seed_baseline:
-                knbest_stream = SeedRandomStream(
-                    knbest_stream.seed, name=knbest_stream.name
-                )
-            return SbQAPolicy(SbQAConfig(k=k, kn=kn), knbest_stream)
+            return SbQAPolicy(
+                SbQAConfig(k=k, kn=kn), policy_root.stream("hotpath/knbest")
+            )
         return make_policy(policy, policy_root, sbqa=SbQAConfig(k=k, kn=kn))
 
-    # FastMediator reads the scoring backend once at construction, so
-    # pinning the scalar oracle path only needs a temporary override
-    # around the constructor (every shard constructor, when federated).
-    previous_backend = _scoring._DEFAULT_BACKEND
+    # FastMediator reads the kernel switch once at construction, so the
+    # scalar oracle path only needs it off around the constructor
+    # (every shard constructor, when federated).
+    kernel_was = _engine._FUSED_KERNEL
     if configuration == "fast_scalar":
-        _scoring._DEFAULT_BACKEND = "python"
+        _engine._FUSED_KERNEL = False
     try:
         if shards > 1:
             from repro.federation import FederationConfig, build_federation
@@ -351,10 +242,9 @@ def build_mediation_system(
                 registry,
                 _make_policy(root),
                 keep_records=False,
-                trace=SeedTraceCost() if seed_baseline else NULL_RECORDER,
             )
     finally:
-        _scoring._DEFAULT_BACKEND = previous_backend
+        _engine._FUSED_KERNEL = kernel_was
     for member in consumer_objs:
         member.attach_mediator(mediator)
     if consumers > 1:
@@ -645,103 +535,6 @@ def measure_parallel_federation(
 
 
 # ----------------------------------------------------------------------
-# Registry-lookup measurement (indexed vs pre-index scan)
-# ----------------------------------------------------------------------
-
-
-def _build_capability_population(
-    registry: SystemRegistry,
-    n_providers: int,
-    n_topics: int = 8,
-    unrestricted_every: int = 4,
-):
-    """A topic-restricted population registered into ``registry``.
-
-    Every ``unrestricted_every``-th provider serves all topics (the
-    merge path); the rest are restricted to one of ``n_topics`` topics
-    round-robin, so each topic's capable set is ~``N / n_topics``.
-    """
-    sim = Simulator()
-    network = Network(sim, FixedLatency(0.05))
-    providers = []
-    for i in range(n_providers):
-        provider = Provider(sim, network, participant_id=f"p{i:04d}")
-        if i % unrestricted_every == 0:
-            registry.add_provider(provider)
-        else:
-            registry.add_provider(provider, topics=[f"t{i % n_topics}"])
-        providers.append(provider)
-    topics = [f"t{i}" for i in range(n_topics)]
-    return providers, topics
-
-
-def measure_registry_lookup(
-    n_providers: int,
-    lookups: int = 20000,
-    churn_every: int = 256,
-    n_topics: int = 8,
-) -> Dict[str, float]:
-    """``capable_providers`` lookups/second: indexed vs pre-index scan.
-
-    Both sides answer the same cycle of topic lookups over the same
-    topic-restricted population; every ``churn_every`` lookups one
-    provider toggles offline/online, forcing the indexed side to
-    rebuild its snapshot (the scan side pays the full price every
-    lookup regardless).
-    """
-    import gc
-
-    def _run(registry_cls) -> float:
-        registry = registry_cls()
-        providers, topics = _build_capability_population(
-            registry, n_providers, n_topics=n_topics
-        )
-        snapshot = registry.capable_snapshot  # bound method under test
-        n_t = len(topics)
-        churn_source = providers[1]  # topic-restricted member
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            for i in range(lookups):
-                snapshot(topics[i % n_t])
-                if i % churn_every == 0:
-                    churn_source.online = not churn_source.online
-            elapsed = time.perf_counter() - start
-        finally:
-            gc.enable()
-        return lookups / elapsed
-
-    indexed_per_s = _run(SystemRegistry)
-    scan_per_s = _run(SeedRegistry)
-    return {
-        "indexed_per_s": indexed_per_s,
-        "scan_per_s": scan_per_s,
-        "speedup": indexed_per_s / scan_per_s,
-    }
-
-
-def measure_registry_scaling(
-    provider_counts: Sequence[int] = SCALING_PROVIDERS,
-    lookups: int = 20000,
-    churn_every: int = 256,
-) -> Dict[str, Dict[str, float]]:
-    """The registry-lookup comparison along the population axis.
-
-    The scan side is O(N) per lookup, so the lookup count shrinks as N
-    grows (bounded total scan work) to keep large-N rows affordable.
-    """
-    return {
-        str(n): measure_registry_lookup(
-            n,
-            lookups=max(2000, min(lookups, 20_000_000 // max(1, n))),
-            churn_every=churn_every,
-        )
-        for n in provider_counts
-    }
-
-
-# ----------------------------------------------------------------------
 # Digest parity
 # ----------------------------------------------------------------------
 
@@ -774,8 +567,8 @@ def check_digest_parity(
     Byte-compares the JSON digests (the spec serialization deliberately
     omits the engine, so any difference is a result difference) across
 
-    * ``engine="fast"`` with the fused SoA kernel (ambient backend),
-    * ``engine="fast"`` pinned to the scalar oracle backend, and
+    * ``engine="fast"`` with the fused SoA kernel,
+    * ``engine="fast"`` with the kernel off (the scalar oracle), and
     * ``engine="event"``.
 
     ``identical`` is the fast/event engine contract;
@@ -793,8 +586,8 @@ def check_digest_parity(
             keep_runs=False
         )
         digests[engine] = result.to_json()
-    previous_backend = _scoring._DEFAULT_BACKEND
-    _scoring._DEFAULT_BACKEND = "python"
+    kernel_was = _engine._FUSED_KERNEL
+    _engine._FUSED_KERNEL = False
     try:
         digests["fast_scalar"] = (
             Session(_mixed_spec("fast", duration, n_providers))
@@ -802,7 +595,7 @@ def check_digest_parity(
             .to_json()
         )
     finally:
-        _scoring._DEFAULT_BACKEND = previous_backend
+        _engine._FUSED_KERNEL = kernel_was
     identical = digests["fast"] == digests["event"]
     scalar_identical = digests["fast"] == digests["fast_scalar"]
     return {
@@ -837,8 +630,8 @@ def run_bench(
     ``scale_providers`` overrides the population axis (default
     :data:`SCALING_PROVIDERS`; smoke trims to 120 + 600).
 
-    ``max_n`` caps both population axes: scaling/registry points above
-    it are dropped (``max_n`` itself joins the grid when it exceeds
+    ``max_n`` caps both population axes: scaling points above it are
+    dropped (``max_n`` itself joins the grid when it exceeds
     every default point), and federation points above it are dropped
     down to at least the smallest.  ``shards`` pins every federation
     point to that shard count instead of the proportional default
@@ -877,14 +670,12 @@ def run_bench(
         federation_points = tuple((n, shards) for n, _ in federation_points)
     matrix_mediations = max(400, mediations // 2)
     matrix_repeats = max(1, repeats - 1)
-    lookups = 6000 if smoke else 20000
 
     throughput = measure_throughput(mediations=mediations, repeats=repeats)
 
     fast = throughput["fast"]["mediate_per_s"]
     fast_scalar = throughput["fast_scalar"]["mediate_per_s"]
     event = throughput["event"]["mediate_per_s"]
-    seed_baseline = throughput["seed_baseline"]["mediate_per_s"]
     record: Dict[str, object] = {
         "bench_version": BENCH_VERSION,
         "bench": "core_hotpath",
@@ -901,16 +692,12 @@ def run_bench(
         },
         "throughput": throughput,
         "speedup": {
-            # The PR-4 tentpole claim: fast engine vs the pre-engine hot
-            # path (which now also reconstructs the pre-index registry).
-            "fast_vs_seed": fast / seed_baseline,
             # The engine split alone (both sides share the O(1) windows
             # and the registry snapshots).
             "fast_vs_event": fast / event,
             # The fused SoA kernel vs the scalar oracle path of the same
-            # fast engine: what the vectorized default is worth.
+            # fast engine: what the kernel is worth.
             "fused_vs_scalar": fast / fast_scalar,
-            "event_vs_seed": event / seed_baseline,
             # The batched-result-drain claim: how close end-to-end
             # throughput sits to pure mediation throughput.
             "end_to_end_ratio": throughput["fast"]["end_to_end_per_s"] / fast,
@@ -935,7 +722,6 @@ def run_bench(
             mediations=matrix_mediations,
             repeats=matrix_repeats,
         ),
-        "registry": measure_registry_scaling(scale_providers, lookups=lookups),
     }
     record["speedup"]["parallel_vs_serial"] = record["parallel_federation"][
         "best_speedup"
@@ -955,6 +741,61 @@ def run_bench(
     return record
 
 
+def gate_failures(
+    record: Dict[str, object],
+    min_speedup: Optional[float] = None,
+    min_mediate_per_s: Optional[float] = None,
+    min_scaling_ratio: Optional[float] = None,
+    min_federation_ratio: Optional[float] = None,
+    min_parallel_speedup: Optional[float] = None,
+) -> List[str]:
+    """One message per gate the record fails (empty when all pass).
+
+    Digest parity is a hard gate whenever the record carries it; each
+    ``min_*`` floor is checked only when given.
+    """
+    failures = []
+    parity = record.get("parity")
+    if parity is not None:
+        if not parity["identical"]:
+            failures.append("fast and event engines produced different digests")
+        if not parity["scalar_identical"]:
+            failures.append(
+                "fused kernel and scalar oracle produced different digests"
+            )
+    speedup = record["speedup"]
+    floors = (
+        (
+            "fast-engine throughput",
+            record["throughput"]["fast"]["mediate_per_s"],
+            min_mediate_per_s, ",.0f", "/s",
+        ),
+        (
+            "fast-engine speedup over the event engine",
+            speedup["fast_vs_event"], min_speedup, ".2f", "x",
+        ),
+        (
+            "scaling flatness (fast-engine throughput at max-N over min-N)",
+            speedup["scaling_ratio"], min_scaling_ratio, ".2f", "x",
+        ),
+        (
+            "federation flatness",
+            record["federation"]["flat_ratio"], min_federation_ratio, ".2f", "x",
+        ),
+        (
+            "parallel-federation speedup",
+            speedup["parallel_vs_serial"], min_parallel_speedup, ".2f", "x",
+        ),
+    )
+    for what, measured, floor, fmt, unit in floors:
+        if floor is not None and measured < floor:
+            failures.append(
+                f"{what} {measured:{fmt}}{unit} is below the required "
+                f"{floor:{fmt}}{unit}"
+            )
+    return failures
+
+
 def format_report(record: Dict[str, object]) -> str:
     """Human-readable rendering of one bench record."""
     lines = [
@@ -971,7 +812,6 @@ def format_report(record: Dict[str, object]) -> str:
     speedup = record["speedup"]
     lines += [
         "",
-        f"  fast vs seed baseline: {speedup['fast_vs_seed']:.2f}x",
         f"  fast vs event engine:  {speedup['fast_vs_event']:.2f}x",
     ]
     if "fused_vs_scalar" in speedup:
@@ -1032,14 +872,6 @@ def format_report(record: Dict[str, object]) -> str:
         lines.append(
             f"    best speedup vs serial: {parallel['best_speedup']:.2f}x"
         )
-    registry = record.get("registry")
-    if registry:
-        lines += ["", "  capable_providers lookup (indexed vs scan):"]
-        for n, row in registry.items():
-            lines.append(
-                f"    N={n:<6} {row['indexed_per_s']:>12,.0f}/s vs "
-                f"{row['scan_per_s']:>10,.0f}/s   ({row['speedup']:.1f}x)"
-            )
     parity = record.get("parity")
     if parity is not None:
         status = "identical" if parity["identical"] else "DIVERGED"

@@ -37,13 +37,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
-# One source of truth for the aggregate backend: the scoring module
-# owns the SBQA_SCORING_BACKEND switch (read once at import), the
-# guarded numpy import, and the raise-on-missing-numpy contract.
-# (Submodule-form import: robust against repro.core's own __init__
-# being mid-execution when this module loads.)
-import repro.core.scoring as _scoring
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.system.consumer import Consumer
     from repro.system.provider import Provider
@@ -53,10 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: capability indexes (the satisfaction windows use the same pattern:
 #: incremental bookkeeping, periodically rebuilt from authority).
 REBUILD_EVERY = 4096
-
-#: Environment switch shared with :mod:`repro.core.scoring`: the
-#: aggregate sweeps below grow a numpy backend behind the same flag.
-AGGREGATE_BACKEND_ENV = _scoring.SCORING_BACKEND_ENV
 
 #: Cross-run memo of id-sorted rank columns, keyed by the pids tuple.
 #: Replications of one sweep point register identical provider ids in
@@ -294,9 +283,9 @@ class SystemRegistry:
           built) against a fresh scan -- a stale tuple would silently
           feed metric samplers the wrong population;
         * every **current-version** ``total_capacity`` cache entry
-          against a fresh reduction over the same provider set with the
-          same backend expression (stale-version entries are legal by
-          design: the next lookup discards them).
+          against a fresh reduction over the same provider set
+          (stale-version entries are legal by design: the next lookup
+          discards them).
         """
         unrestricted = [
             (ordinal, p)
@@ -332,7 +321,7 @@ class SystemRegistry:
             providers = (
                 self.online_providers_snapshot() if online_only else self.providers
             )
-            if total != _aggregate_sum([p.capacity for p in providers]):
+            if total != sum([p.capacity for p in providers]):
                 return False
         return True
 
@@ -441,7 +430,7 @@ class SystemRegistry:
         providers = (
             self.online_providers_snapshot() if online_only else self.providers
         )
-        total = _aggregate_sum([p.capacity for p in providers])
+        total = sum([p.capacity for p in providers])
         self._capacity_cache[online_only] = (version, total)
         return total
 
@@ -449,56 +438,22 @@ class SystemRegistry:
         """Mean delta_s(p) over online providers (neutral if none).
 
         One pass over the cached online snapshot -- the per-call
-        ``online_providers()`` list build and filter are gone; the
-        values list handed to the reduction remains (the numpy backend
-        needs a sequence).
+        ``online_providers()`` list build and filter are gone.
         """
         online = self.online_providers_snapshot()
         if not online:
             return 0.0
-        return _aggregate_sum([p.satisfaction for p in online]) / len(online)
+        return sum([p.satisfaction for p in online]) / len(online)
 
     def mean_consumer_satisfaction(self) -> float:
         """Mean delta_s(c) over online consumers (neutral if none)."""
         online = self.online_consumers_snapshot()
         if not online:
             return 0.0
-        return _aggregate_sum([c.satisfaction for c in online]) / len(online)
+        return sum([c.satisfaction for c in online]) / len(online)
 
     def __repr__(self) -> str:
         return (
             f"SystemRegistry(consumers={len(self._consumers)}, "
             f"providers={len(self._providers)})"
         )
-
-
-def _aggregate_sum(values: List[float], backend: Optional[str] = None) -> float:
-    """One whole-population reduction, backend-selectable.
-
-    ``backend=None`` always means the python reference path -- plain
-    left-to-right ``sum``, the exact floats every pre-index release
-    produced.  These aggregates feed digest-visible summary fields, so
-    unlike :func:`repro.core.scoring.score_providers_batch` the default
-    here is deliberately *decoupled* from ``SBQA_SCORING_BACKEND``:
-    numpy's pairwise summation rounds differently (a parity test pins
-    the difference to relative 1e-12), and a backend flip must never
-    change a result digest.  The numpy path stays reachable through an
-    explicit ``backend="numpy"`` (any
-    :data:`repro.core.scoring.BACKEND_ALIASES` spelling) and raises
-    when numpy is not importable.
-    """
-    if backend is None:
-        backend = "python"
-    else:
-        backend = _scoring.resolve_backend(backend)
-    if backend == "numpy":
-        np = _scoring._np
-        if np is None:
-            raise RuntimeError(
-                "numpy backend requested but numpy is not importable; "
-                "use backend='python'"
-            )
-        if not values:
-            return 0.0
-        return float(np.asarray(values, dtype=np.float64).sum())
-    return sum(values)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.significance import (
     Comparison,
-    compare_aggregates,
     holm_adjust,
     holm_correction,
     welch_t_test,
@@ -44,26 +43,48 @@ class TestWelchTTest:
         with pytest.raises(ValueError, match="at least 2"):
             welch_t_test([1.0], [1.0, 2.0])
 
+    def test_without_scipy_names_the_extra(self, monkeypatch):
+        """scipy is imported where it is used; blocking it leaves the
+        rest of the module importable and the failure self-explaining."""
+        import sys
+
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        with pytest.raises(ImportError, match=r"sbqa-repro\[stats\]"):
+            welch_t_test([1.0, 2.0, 3.0], [2.0, 3.0, 5.0])
+        # zero pooled variance returns before the CDF is needed
+        assert welch_t_test([1.0, 1.0], [1.0, 1.0]) == (0.0, 2.0, 1.0)
+
 
 class TestCompareAggregates:
-    def _aggregates(self, replications=3):
-        from repro.experiments.config import ExperimentConfig, PolicySpec
-        from repro.experiments.replication import run_replications
-        from repro.workloads.boinc import BoincScenarioParams
+    """Two policies compared on the samples a replicated Session run
+    produces, through the sweep layer's per-point comparison."""
 
-        config = ExperimentConfig(
-            name="sig",
-            seed=11,
-            duration=400.0,
-            population=BoincScenarioParams(n_providers=30),
+    def _comparison(self, replications=3):
+        from repro.api.builder import Experiment
+        from repro.api.results import SweepPointResult
+        from repro.api.session import Session
+        from repro.api.sweep import SweepPoint
+
+        spec = (
+            Experiment.builder()
+            .named("sig")
+            .seed(11)
+            .duration(400.0)
+            .providers(30)
+            .policy("sbqa")
+            .policy("capacity")
+            .replications(replications)
+            .build()
         )
-        a = run_replications(config, PolicySpec(name="sbqa"), replications=replications)
-        b = run_replications(config, PolicySpec(name="capacity"), replications=replications)
-        return a, b
+        point = SweepPointResult(
+            point=SweepPoint(0, {}, {}, "base", spec),
+            experiment=Session(spec).run(keep_runs=False),
+        )
+        (comparison,) = point.comparisons(["provider_sat_final"])
+        return comparison
 
     def test_comparison_fields(self):
-        a, b = self._aggregates()
-        comparison = compare_aggregates(a, b, "provider_sat_final")
+        comparison = self._comparison()
         assert comparison.metric == "provider_sat_final"
         assert comparison.label_a == "sbqa"
         assert comparison.label_b == "capacity"
@@ -75,30 +96,9 @@ class TestCompareAggregates:
 
     def test_sbqa_satisfaction_advantage_is_significant(self):
         """The core paper effect survives a significance test."""
-        a, b = self._aggregates(replications=4)
-        comparison = compare_aggregates(a, b, "provider_sat_final")
+        comparison = self._comparison(replications=4)
         assert comparison.difference > 0
         assert comparison.significant(alpha=0.05)
-
-    def test_requires_kept_runs(self):
-        from repro.experiments.config import ExperimentConfig, PolicySpec
-        from repro.experiments.replication import run_replications
-        from repro.workloads.boinc import BoincScenarioParams
-
-        config = ExperimentConfig(
-            name="sig2",
-            seed=11,
-            duration=120.0,
-            population=BoincScenarioParams(n_providers=10),
-        )
-        a = run_replications(
-            config, PolicySpec(name="sbqa"), replications=2, keep_runs=False
-        )
-        b = run_replications(
-            config, PolicySpec(name="capacity"), replications=2, keep_runs=False
-        )
-        with pytest.raises(ValueError, match="keep_runs"):
-            compare_aggregates(a, b, "mean_rt")
 
 
 def _comparison(metric, p_value):

@@ -138,11 +138,6 @@ class TestExperimentResult:
         # The embedded spec is loadable again: results are reproducible.
         assert ExperimentSpec.from_dict(digest["spec"]) == SPEC
 
-    def test_aggregate_bridge(self, result):
-        aggregate = result.policy("sbqa").aggregate()
-        assert aggregate.replications == 2
-        assert "±" in aggregate.cell("mean_rt")
-
 
 class TestSessionValidation:
     def test_needs_a_spec(self):

@@ -11,7 +11,7 @@ Three layers of evidence:
   collapse is active;
 * preset-level: every shipped scenario preset, scaled down, produces
   byte-identical ``ExperimentResult`` digests under both engines, and
-  the fused SoA kernel matches the scalar oracle backend digest for
+  the fused SoA kernel matches the scalar oracle path digest for
   digest (the engine-level face of the tests/oracle/ contract).
 """
 
@@ -548,17 +548,17 @@ class TestScenarioPresetParity:
 class TestScoringBackendParity:
     """The fused SoA kernel vs the scalar oracle, digest-identical.
 
-    ``SBQA_SCORING_BACKEND=scalar`` (resolved once into
-    ``repro.core.scoring._DEFAULT_BACKEND``) pins the fast engine to the
-    select_fast/_commit reference path; the default numpy backend turns
-    the fused kernel on.  Both must produce byte-identical run digests
-    -- the engine-level form of the contract the oracle suite
-    (tests/oracle/) replays under randomized workloads."""
+    ``repro.core.engine._FUSED_KERNEL = False`` (a private test hook,
+    read at mediator construction) leaves the fast engine on the
+    select_fast/_commit reference path; the default engages the fused
+    kernel.  Both must produce byte-identical run digests -- the
+    engine-level form of the contract the oracle suite (tests/oracle/)
+    replays under randomized workloads."""
 
-    def _backend_digest(self, backend, monkeypatch, **overrides):
-        import repro.core.scoring as scoring
+    def _kernel_digest(self, fused, monkeypatch, **overrides):
+        import repro.core.engine as engine
 
-        monkeypatch.setattr(scoring, "_DEFAULT_BACKEND", backend)
+        monkeypatch.setattr(engine, "_FUSED_KERNEL", fused)
         return run_digest("fast", **overrides)
 
     def test_scalar_and_fused_digests_match(self, monkeypatch):
@@ -568,8 +568,8 @@ class TestScoringBackendParity:
             "failures": {"mttf": 1500.0, "repair_time": 60.0, "result_timeout": 240.0},
             "policies": [("sbqa", {}), ("capacity", {})],
         }
-        scalar = self._backend_digest("python", monkeypatch, **mixed)
-        fused = self._backend_digest("numpy", monkeypatch, **mixed)
+        scalar = self._kernel_digest(False, monkeypatch, **mixed)
+        fused = self._kernel_digest(True, monkeypatch, **mixed)
         assert scalar == fused
 
     def test_fixed_omega_backends_match(self, monkeypatch):
@@ -577,20 +577,23 @@ class TestScoringBackendParity:
             "latency": (0.05, 0.05),
             "policies": [("sbqa", {"omega": 0.3, "kn": 4})],
         }
-        scalar = self._backend_digest("python", monkeypatch, **spec)
-        fused = self._backend_digest("numpy", monkeypatch, **spec)
+        scalar = self._kernel_digest(False, monkeypatch, **spec)
+        fused = self._kernel_digest(True, monkeypatch, **spec)
         assert scalar == fused
 
     def test_fused_gate_follows_backend(self, monkeypatch):
+        """The kernel engages from what the mediator can see -- constant
+        positive latency and a supported policy -- and the test hook
+        is the only thing that turns it off."""
+        import repro.core.engine as engine
         import repro.core.scoring as scoring
 
         sim = Simulator()
         network = FastNetwork(sim, FixedLatency(0.05))
         registry = SystemRegistry()
         policy = SbQAPolicy(SbQAConfig(), RandomStream(1))
-        monkeypatch.setattr(scoring, "_DEFAULT_BACKEND", "python")
-        scalar_mediator = FastMediator(sim, network, registry, policy)
-        assert scalar_mediator._fused_columns is None
-        monkeypatch.setattr(scoring, "_DEFAULT_BACKEND", "numpy")
-        fused_mediator = FastMediator(sim, network, registry, policy)
-        assert fused_mediator._fused_columns is not None
+        assert FastMediator(sim, network, registry, policy)._fused_columns is not None
+        assert scoring.resolve_backend() != "python"
+        monkeypatch.setattr(engine, "_FUSED_KERNEL", False)
+        assert FastMediator(sim, network, registry, policy)._fused_columns is None
+        assert scoring.resolve_backend() == "python"

@@ -1,32 +1,21 @@
 """Scoring parity: the batch kernel vs the scalar Definition-3 kernel.
 
 The fast engine ranks every consulted provider through
-:func:`repro.core.scoring.score_providers_batch`; these tests pin the
-*scalar* backend to :func:`~repro.core.scoring.sqlb_score` with exact
-float equality across every branch boundary of Definition 3 and a
-randomized grid, and hold the numpy backend (the default when numpy is
-importable) to within one ulp of the scalar oracle.
+:func:`repro.core.scoring.score_providers_batch`; these tests pin it
+to :func:`~repro.core.scoring.sqlb_score` with exact float equality
+across every branch boundary of Definition 3 and a randomized grid.
 """
 
 import itertools
-import os
 import random
 
 import pytest
 
 from repro.core.scoring import (
     DEFAULT_EPSILON,
-    SCORING_BACKEND_ENV,
     score_providers_batch,
     sqlb_score,
 )
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - environment without numpy
-    HAVE_NUMPY = False
 
 #: Branch boundaries of Definition 3: intentions at the +/-1 extremes,
 #: exactly 0 (the positive branch needs strict positivity), a denormal
@@ -52,9 +41,7 @@ class TestBranchBoundaries:
             pis = [t[0] for t in triples]
             cis = [t[1] for t in triples]
             omegas = [t[2] for t in triples]
-            batch = score_providers_batch(
-                pis, cis, omegas, epsilon, backend="python"
-            )
+            batch = score_providers_batch(pis, cis, omegas, epsilon)
             for (pi, ci, omega), got in zip(triples, batch):
                 expected = sqlb_score(pi, ci, omega, epsilon)
                 assert got == expected, (pi, ci, omega, epsilon)
@@ -72,34 +59,9 @@ class TestBranchBoundaries:
         cis = [rng.uniform(-1.0, 1.0) for _ in range(500)]
         omegas = [rng.random() for _ in range(500)]
         for epsilon in (0.25, DEFAULT_EPSILON, 3.0):
-            batch = score_providers_batch(
-                pis, cis, omegas, epsilon, backend="python"
-            )
+            batch = score_providers_batch(pis, cis, omegas, epsilon)
             for pi, ci, omega, got in zip(pis, cis, omegas, batch):
                 assert got == sqlb_score(pi, ci, omega, epsilon)
-
-    def test_default_backend_within_one_ulp_of_scalar(self):
-        """Whatever backend is the default (numpy when importable), it
-        must stay within one ulp of the scalar oracle on the boundary
-        grid -- the tolerance the differential oracle in tests/oracle/
-        enforces end to end."""
-        import math
-
-        for epsilon in BOUNDARY_EPSILONS:
-            triples = list(
-                itertools.product(
-                    BOUNDARY_INTENTIONS, BOUNDARY_INTENTIONS, BOUNDARY_OMEGAS
-                )
-            )
-            pis = [t[0] for t in triples]
-            cis = [t[1] for t in triples]
-            omegas = [t[2] for t in triples]
-            batch = score_providers_batch(pis, cis, omegas, epsilon)
-            for (pi, ci, omega), got in zip(triples, batch):
-                expected = sqlb_score(pi, ci, omega, epsilon)
-                assert got == expected or math.isclose(
-                    got, expected, rel_tol=1e-15, abs_tol=5e-324
-                ), (pi, ci, omega, epsilon)
 
     def test_empty_batch(self):
         assert score_providers_batch([], [], []) == []
@@ -127,88 +89,3 @@ class TestValidation:
         assert score_providers_batch(
             [0.5], [0.5], [0.5], validate=False
         ) == [sqlb_score(0.5, 0.5, 0.5)]
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            score_providers_batch([0.5], [0.5], [0.5], backend="fortran")
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
-class TestNumpyBackend:
-    """numpy's ``pow`` may differ from CPython's by the final ulp (libm
-    vs npy_pow), which is exactly why the engines' parity-critical
-    decision path (``select_fast``) stays pinned to the python loop
-    even though the batch default is numpy; parity here is asserted to
-    within one ulp."""
-
-    @staticmethod
-    def assert_ulp_close(got, expected):
-        import math
-
-        assert got == expected or math.isclose(
-            got, expected, rel_tol=1e-15, abs_tol=5e-324
-        ), (got, expected)
-
-    def test_scalar_parity(self):
-        rng = random.Random(7)
-        pis = [rng.uniform(-1.0, 1.0) for _ in range(200)]
-        cis = [rng.uniform(-1.0, 1.0) for _ in range(200)]
-        omegas = [rng.random() for _ in range(200)]
-        batch = score_providers_batch(pis, cis, omegas, backend="numpy")
-        for pi, ci, omega, got in zip(pis, cis, omegas, batch):
-            self.assert_ulp_close(got, sqlb_score(pi, ci, omega))
-
-    def test_boundary_parity(self):
-        triples = list(
-            itertools.product(
-                BOUNDARY_INTENTIONS, BOUNDARY_INTENTIONS, BOUNDARY_OMEGAS
-            )
-        )
-        pis = [t[0] for t in triples]
-        cis = [t[1] for t in triples]
-        omegas = [t[2] for t in triples]
-        numpy_scores = score_providers_batch(pis, cis, omegas, backend="numpy")
-        python_scores = score_providers_batch(pis, cis, omegas, backend="python")
-        for got, expected in zip(numpy_scores, python_scores):
-            self.assert_ulp_close(got, expected)
-
-    def test_returns_plain_floats(self):
-        scores = score_providers_batch([0.5], [0.5], [0.5], backend="numpy")
-        assert type(scores[0]) is float
-
-    def test_env_flag_selects_backend_at_import(self):
-        """The env switch is resolved once at import (hot path), so it
-        is exercised in a fresh interpreter."""
-        import subprocess
-        import sys
-
-        code = (
-            "from repro.core.scoring import _DEFAULT_BACKEND, "
-            "score_providers_batch\n"
-            "assert _DEFAULT_BACKEND == 'numpy', _DEFAULT_BACKEND\n"
-            "print(score_providers_batch([0.5], [0.5], [0.5])[0])\n"
-        )
-        from pathlib import Path
-
-        import repro
-
-        env = dict(os.environ, **{SCORING_BACKEND_ENV: "numpy"})
-        src_dir = str(Path(repro.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert out.returncode == 0, out.stderr
-        self.assert_ulp_close(float(out.stdout), sqlb_score(0.5, 0.5, 0.5))
-
-    def test_engine_select_path_is_env_immune(self):
-        """select_fast pins backend='python': the fast/event parity
-        contract must hold whatever SBQA_SCORING_BACKEND says."""
-        import inspect
-
-        from repro.core.sbqa import SbQAPolicy
-
-        assert 'backend="python"' in inspect.getsource(SbQAPolicy.select_fast)

@@ -227,8 +227,9 @@ class TestPostInBatch:
         assert sim.run() == 0
 
     def test_large_batch_heapify_path(self, sim):
-        """A batch larger than the existing heap takes the extend +
-        heapify path; order must still be (time, submission)."""
+        """A batch larger than the existing heap (where an extend +
+        heapify insertion would be tempting): order must still be
+        (time, submission)."""
         fired = []
         sim.schedule_at(0.25, lambda: fired.append(-1))
         sim.post_in_batch(

@@ -1,5 +1,7 @@
 """The bench-side federation surface: record shape, axes, CLI flags."""
 
+import copy
+
 import pytest
 
 from repro.perf.hotpath import (
@@ -7,16 +9,13 @@ from repro.perf.hotpath import (
     FEDERATION_POINTS,
     build_mediation_system,
     format_report,
+    gate_failures,
     measure_federation,
     run_bench,
 )
 
 
 class TestBuildMediationSystem:
-    def test_seed_baseline_rejects_shards(self):
-        with pytest.raises(ValueError, match="predates federation"):
-            build_mediation_system("seed_baseline", shards=2)
-
     def test_federated_facade_mediates(self):
         from repro.federation import FederatedMediator
 
@@ -27,8 +26,8 @@ class TestBuildMediationSystem:
         assert mediator.federation.shards == 3
 
     def test_fast_scalar_pin_covers_every_shard(self):
-        # The scalar pin wraps the whole federation build, so no shard
-        # may have engaged the fused kernel (it reads the backend once,
+        # The kernel switch is off around the whole federation build, so
+        # no shard may have engaged the fused kernel (it is read once,
         # at construction); the plain fast build engages it everywhere.
         sim, mediator, _ = build_mediation_system(
             "fast_scalar", n_providers=60, shards=3
@@ -70,9 +69,10 @@ class TestRunBenchAxes:
         )
 
     def test_version_and_sections(self, record):
-        assert record["bench_version"] == BENCH_VERSION == 5
+        assert record["bench_version"] == BENCH_VERSION == 6
         assert "federation" in record
         assert "scaling_ratio" in record["speedup"]
+        assert set(record["throughput"]) == {"fast", "fast_scalar", "event"}
 
     def test_parallel_federation_section(self, record):
         section = record["parallel_federation"]
@@ -101,7 +101,6 @@ class TestRunBenchAxes:
             max_n=150,
         )
         assert list(record["scaling"]) == ["120"]
-        assert list(record["registry"]) == ["120"]
         assert all(
             row["n_providers"] <= 150
             for row in record["federation"]["points"].values()
@@ -126,6 +125,61 @@ class TestRunBenchAxes:
 
     def test_default_full_points_reach_100k(self):
         assert FEDERATION_POINTS[-1] == (100000, 50)
+
+
+class TestGateFailures:
+    """One implementation of the gates serves ``sbqa bench`` and the
+    ``benchmarks/`` wrapper scripts."""
+
+    @pytest.fixture(scope="class")
+    def record(self):
+        return run_bench(smoke=True, mediations=100, repeats=1, max_n=150)
+
+    def test_no_floors_no_failures(self, record):
+        assert record["parity"]["identical"]
+        assert record["parity"]["scalar_identical"]
+        assert gate_failures(record) == []
+
+    def test_each_floor_reports_once(self, record):
+        failures = gate_failures(
+            record,
+            min_speedup=1e9,
+            min_mediate_per_s=1e12,
+            min_scaling_ratio=1e9,
+            min_federation_ratio=1e9,
+            min_parallel_speedup=1e9,
+        )
+        assert len(failures) == 5
+        assert any("over the event engine" in f for f in failures)
+        assert all("below the required" in f for f in failures)
+
+    def test_parity_is_a_hard_gate(self, record):
+        broken = copy.deepcopy(record)
+        broken["parity"]["identical"] = False
+        broken["parity"]["scalar_identical"] = False
+        failures = gate_failures(broken)
+        assert len(failures) == 2
+        assert all("different digests" in f for f in failures)
+
+    def test_cli_exit_code_and_prefix(self, record, monkeypatch, capsys):
+        import repro.perf.hotpath as hotpath
+        from repro.cli import main
+
+        seen = {}
+
+        def fake_run_bench(**kwargs):
+            seen.update(kwargs)
+            skipped = copy.deepcopy(record)
+            del skipped["parity"]
+            return skipped
+
+        monkeypatch.setattr(hotpath, "run_bench", fake_run_bench)
+        assert main(["bench", "--smoke", "--skip-parity", "--min-speedup", "0"]) == 0
+        assert seen["check_parity"] is False
+        capsys.readouterr()
+        assert main(["bench", "--smoke", "--min-mediate-per-s", "1e12"]) == 1
+        assert seen["check_parity"] is True
+        assert "error: fast-engine throughput" in capsys.readouterr().err
 
 
 class TestCliGates:

@@ -5,10 +5,11 @@ latency regime, KnBest pool shape, omega mode, churn, crashes, a
 second (non-SbQA) policy that forces the per-query fallback -- and
 replays it three ways:
 
-* ``engine="fast"`` with the **fused SoA kernel** (vectorized default);
-* ``engine="fast"`` with the **scalar oracle** backend
-  (``SBQA_SCORING_BACKEND=scalar``), i.e. the select_fast/_commit
-  reference path the fused kernel must reproduce;
+* ``engine="fast"`` with the **fused SoA kernel** (the default);
+* ``engine="fast"`` with the kernel switched off
+  (``repro.core.engine._FUSED_KERNEL = False``), i.e. the **scalar
+  oracle**: the select_fast/_commit reference path the fused kernel
+  must reproduce;
 * ``engine="event"``, the event-faithful core.
 
 All three ``ExperimentResult`` JSON digests must be byte-identical.
@@ -23,7 +24,7 @@ import random
 
 import pytest
 
-import repro.core.scoring as scoring
+import repro.core.engine as engine_module
 from repro.api.builder import Experiment
 from repro.api.session import Session
 
@@ -67,9 +68,9 @@ def _draw_cases():
 CASES = _draw_cases()
 
 
-def _case_digest(case, engine, backend):
-    previous = scoring._DEFAULT_BACKEND
-    scoring._DEFAULT_BACKEND = backend
+def _case_digest(case, engine, fused):
+    previous = engine_module._FUSED_KERNEL
+    engine_module._FUSED_KERNEL = fused
     try:
         builder = (
             Experiment.builder()
@@ -91,14 +92,14 @@ def _case_digest(case, engine, backend):
             )
         return Session(builder.build()).run(keep_runs=False).to_json()
     finally:
-        scoring._DEFAULT_BACKEND = previous
+        engine_module._FUSED_KERNEL = previous
 
 
 @pytest.mark.parametrize("case", CASES, ids=[f"case{c['index']}" for c in CASES])
 def test_fused_scalar_and_event_digests_agree(case):
-    fused = _case_digest(case, "fast", "numpy")
-    scalar = _case_digest(case, "fast", "python")
-    event = _case_digest(case, "event", "python")
+    fused = _case_digest(case, "fast", fused=True)
+    scalar = _case_digest(case, "fast", fused=False)
+    event = _case_digest(case, "event", fused=False)
     context = f"seed {ORACLE_SEED}, case {case}"
     assert fused == scalar, f"fused kernel diverged from scalar oracle: {context}"
     assert scalar == event, f"fast engine diverged from event engine: {context}"

@@ -1,10 +1,9 @@
-"""Scoring-kernel oracle: scalar vs vectorized, randomized inputs.
+"""Scoring-kernel oracle: batch loop vs scalar reference, randomized inputs.
 
-The scalar Definition-3 kernel (``sqlb_score`` and the python loop of
-``score_providers_batch``) is the *reference*; the vectorized numpy
-backend -- the default wherever numpy imports -- must match it to
-within one ulp on every input the mediation pipeline can produce,
-and must reject exactly the inputs the scalar kernel rejects.
+The scalar Definition-3 kernel ``sqlb_score`` is the *reference*; the
+batch loop of ``score_providers_batch`` -- what ``select_fast`` scores
+``Kn`` with -- must equal it bit for bit on every input the mediation
+pipeline can produce, and must reject exactly the inputs it rejects.
 
 Inputs are drawn fresh every run (seeded from ``SBQA_ORACLE_SEED`` when
 set, from the system entropy pool otherwise), so CI replays a new slice
@@ -23,18 +22,10 @@ from repro.core.scoring import (
     DEFAULT_EPSILON,
     ScoredProvider,
     rank_providers,
-    resolve_backend,
     score_providers_batch,
     sqlb_score,
 )
 from repro.des.rng import RandomStream
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - environment without numpy
-    HAVE_NUMPY = False
 
 #: One seed per test session: reproducible when pinned, fresh otherwise.
 ORACLE_SEED = int(
@@ -59,34 +50,16 @@ EDGE_INTENTIONS = (
 )
 
 
-def assert_ulp_close(got, expected, context):
-    __tracebackhide__ = True
-    ok = got == expected or math.isclose(
-        got, expected, rel_tol=1e-15, abs_tol=5e-324
-    )
-    assert ok, f"{context} (seed {ORACLE_SEED}): {got!r} != {expected!r}"
-
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
-
-
-@needs_numpy
 class TestBatchKernelOracle:
-    """score_providers_batch: vectorized vs the scalar reference."""
+    """score_providers_batch vs the scalar reference, exactly."""
 
     def _compare(self, pis, cis, omegas, epsilon=DEFAULT_EPSILON):
-        scalar = score_providers_batch(
-            pis, cis, omegas, epsilon, backend="scalar"
-        )
-        vectorized = score_providers_batch(
-            pis, cis, omegas, epsilon, backend="vectorized"
-        )
-        for pi, ci, omega, s, v in zip(pis, cis, omegas, scalar, vectorized):
-            assert s == sqlb_score(pi, ci, omega, epsilon), (
-                f"scalar backend drifted from sqlb_score "
+        batch = score_providers_batch(pis, cis, omegas, epsilon)
+        for pi, ci, omega, score in zip(pis, cis, omegas, batch):
+            assert score == sqlb_score(pi, ci, omega, epsilon), (
+                f"batch loop drifted from sqlb_score "
                 f"(seed {ORACLE_SEED}): {(pi, ci, omega, epsilon)}"
             )
-            assert_ulp_close(v, s, f"pi={pi} ci={ci} omega={omega} eps={epsilon}")
 
     def test_randomized_batches(self):
         rng = random.Random(ORACLE_SEED)
@@ -121,8 +94,7 @@ class TestBatchKernelOracle:
         self._compare(pis, cis, omegas)
 
     def test_empty_pool(self):
-        for backend in ("scalar", "vectorized"):
-            assert score_providers_batch([], [], [], backend=backend) == []
+        assert score_providers_batch([], [], []) == []
 
     def test_singleton_pool(self):
         rng = random.Random(ORACLE_SEED + 2)
@@ -134,71 +106,50 @@ class TestBatchKernelOracle:
             )
 
     def test_all_equal_scores_preserve_ranking_order(self):
-        """A pool of identical (PI, CI, omega) rows scores identically
-        under both backends, and rank_providers breaks the ties on
-        participant id the same way for both score lists."""
+        """A pool of identical (PI, CI, omega) rows scores identically,
+        and rank_providers breaks the ties on participant id."""
         ids = [f"p{i:02d}" for i in range(12)]
-        pis = [0.5] * len(ids)
-        cis = [0.5] * len(ids)
-        omegas = [0.5] * len(ids)
-        scalar = score_providers_batch(pis, cis, omegas, backend="scalar")
-        vectorized = score_providers_batch(
-            pis, cis, omegas, backend="vectorized"
-        )
-        assert len(set(scalar)) == 1
-
-        def rows(scores):
-            return [
+        column = [0.5] * len(ids)
+        scores = score_providers_batch(column, column, column)
+        assert len(set(scores)) == 1
+        ranking = rank_providers(
+            [
                 ScoredProvider(pid, score, 0.5, 0.5, 0.5)
-                for pid, score in zip(ids, scores)
+                for pid, score in zip(reversed(ids), scores)
             ]
-
-        scalar_rank = rank_providers(rows(scalar))
-        vector_rank = rank_providers(rows(vectorized))
-        assert [r.provider_id for r in scalar_rank] == [
-            r.provider_id for r in vector_rank
-        ]
-        assert [r.provider_id for r in scalar_rank] == ids
-
-    def test_backend_aliases_resolve(self):
-        assert resolve_backend("scalar") == resolve_backend("python")
-        assert resolve_backend("vectorized") == resolve_backend("numpy")
+        )
+        assert [r.provider_id for r in ranking] == ids
 
 
-@needs_numpy
 class TestRejectionParity:
-    """Regression for the numpy dtype edge: non-finite and out-of-range
-    inputs must be rejected by both backends, with the same message
-    vocabulary -- ``numpy.isfinite`` guards the comparisons that would
-    otherwise let NaN slide through a ``<=`` range check."""
+    """Non-finite and out-of-range inputs must be rejected by the batch
+    loop exactly as by ``sqlb_score``, with the same message vocabulary
+    (a NaN fails the ``<=`` range check that bounds the range)."""
+
+    def _both_reject(self, pis, cis, omegas, match):
+        with pytest.raises(ValueError, match=match):
+            score_providers_batch(pis, cis, omegas)
+        with pytest.raises(ValueError, match=match):
+            for pi, ci, omega in zip(pis, cis, omegas):
+                sqlb_score(pi, ci, omega)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1.5, -1.5])
     def test_bad_provider_intention(self, bad):
-        for backend in ("scalar", "vectorized"):
-            with pytest.raises(ValueError, match="provider intention"):
-                score_providers_batch([bad], [0.5], [0.5], backend=backend)
+        self._both_reject([bad], [0.5], [0.5], "provider intention")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 2.0])
     def test_bad_consumer_intention(self, bad):
-        for backend in ("scalar", "vectorized"):
-            with pytest.raises(ValueError, match="consumer intention"):
-                score_providers_batch([0.5], [bad], [0.5], backend=backend)
+        self._both_reject([0.5], [bad], [0.5], "consumer intention")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5, 1.5])
     def test_bad_omega(self, bad):
-        for backend in ("scalar", "vectorized"):
-            with pytest.raises(ValueError, match="omega"):
-                score_providers_batch([0.5], [0.5], [bad], backend=backend)
+        self._both_reject([0.5], [0.5], [bad], "omega")
 
     def test_bad_value_among_good_ones(self):
-        """The mask form must find one NaN hidden in a valid column."""
+        """One NaN hidden in an otherwise valid column is found."""
         pis = [0.5] * 16
         pis[11] = float("nan")
-        for backend in ("scalar", "vectorized"):
-            with pytest.raises(ValueError, match="provider intention"):
-                score_providers_batch(
-                    pis, [0.5] * 16, [0.5] * 16, backend=backend
-                )
+        self._both_reject(pis, [0.5] * 16, [0.5] * 16, "provider intention")
 
 
 class _FakeProvider:

@@ -215,15 +215,15 @@ class TestReplayParity:
         assert engine.final_payload()["digest"] == batch.digest()
 
     def test_replay_digest_backend_invariant(self, monkeypatch):
-        """replay() through the fused SoA kernel (vectorized default)
-        and through the scalar oracle backend, digest-identical: the
-        serve path inherits the engine-level backend contract."""
-        import repro.core.scoring as scoring
+        """replay() through the fused SoA kernel (the default) and
+        through the scalar oracle path, digest-identical: the serve
+        path inherits the engine-level fused == scalar contract."""
+        import repro.core.engine as engine
 
         trace, _ = record_trace(TINY, SBQA)
-        monkeypatch.setattr(scoring, "_DEFAULT_BACKEND", "python")
+        monkeypatch.setattr(engine, "_FUSED_KERNEL", False)
         scalar = ServeEngine(TINY, SBQA).replay(trace).digest()
-        monkeypatch.setattr(scoring, "_DEFAULT_BACKEND", "numpy")
+        monkeypatch.setattr(engine, "_FUSED_KERNEL", True)
         fused = ServeEngine(TINY, SBQA).replay(trace).digest()
         assert scalar == fused
 

@@ -11,19 +11,15 @@ Three layers of evidence:
   hot-path per-snapshot caches key on;
 * **determinism**: snapshot ordering is registration order, immune to
   ``PYTHONHASHSEED`` (asserted in subprocesses), and the cached
-  aggregate sweeps match their pre-index formulations bit-for-bit
-  (with the optional numpy backend pinned to 1-ulp parity).
+  aggregate sweeps match their pre-index formulations bit-for-bit.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import subprocess
 import sys
-
-import pytest
 
 from repro.des.network import Network
 from repro.des.rng import RandomStream
@@ -31,14 +27,7 @@ from repro.des.scheduler import Simulator
 from repro.system.consumer import Consumer
 from repro.system.provider import Provider
 from repro.system.query import Query
-from repro.system.registry import REBUILD_EVERY, SystemRegistry, _aggregate_sum
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - environment without numpy
-    HAVE_NUMPY = False
+from repro.system.registry import REBUILD_EVERY, SystemRegistry
 
 TOPICS = ("astro", "bio", "climate")
 
@@ -228,22 +217,6 @@ class TestAggregates:
         online = [p for p in registry._providers.values() if p.online]
         expected = sum(p.satisfaction for p in online) / len(online)
         assert registry.mean_provider_satisfaction() == expected
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
-    def test_numpy_aggregate_ulp_parity(self):
-        """The numpy reduction may differ from the left-to-right python
-        sum by accumulated rounding (pairwise summation); pin it to a
-        tight relative tolerance like the scoring batch kernel does."""
-        stream = RandomStream(7)
-        values = [stream.uniform(0.0, 2.0) for _ in range(500)]
-        python = _aggregate_sum(values, backend="python")
-        vectorised = _aggregate_sum(values, backend="numpy")
-        assert math.isclose(python, vectorised, rel_tol=1e-12)
-        assert _aggregate_sum([], backend="numpy") == 0.0
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown scoring backend"):
-            _aggregate_sum([1.0], backend="fortran")
 
 
 #: Subprocess probe: capability sets are stored as Python sets, whose
