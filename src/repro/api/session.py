@@ -166,8 +166,14 @@ class SessionStream:
 class Session:
     """Executes one :class:`ExperimentSpec`.
 
-    A session is cheap to construct and stateless between calls; the
-    expensive part is :meth:`run`.
+    A session is cheap to construct; the expensive part is :meth:`run`.
+    Results never depend on earlier calls.  The only thing a session
+    remembers is :attr:`shard_reports`: for runs executed with
+    ``shard_workers``, the last
+    :class:`~repro.federation.parallel.ParallelRunReport` per
+    ``(policy_index, replication)`` with its ``result`` dropped -- how
+    the run was placed and whether it fell back to serial.  Execution
+    metadata like ``engine``: never part of ``to_dict()`` or a digest.
     """
 
     def __init__(self, spec: ExperimentSpec) -> None:
@@ -177,6 +183,7 @@ class Session:
                 "(build one with Experiment.builder() or ExperimentSpec.load)"
             )
         self.spec = spec
+        self.shard_reports: Dict[Tuple[int, int], "ParallelRunReport"] = {}
 
     # ------------------------------------------------------------------
     # Task enumeration
@@ -326,6 +333,10 @@ class Session:
                     self.spec.policies[policy_index],
                     workers=shard_workers,
                     replication=replication,
+                )
+                # Keep how the run executed, not the merged run itself.
+                self.shard_reports[(policy_index, replication)] = replace(
+                    report, result=None
                 )
                 yield policy_index, replication, report.result.summary
                 continue

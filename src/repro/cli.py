@@ -519,6 +519,27 @@ def _print_session_result(
         print(f"result digest exported to {path}")
 
 
+def _print_shard_placement(session, requested: Optional[int]) -> None:
+    """One stderr line per distinct way ``--workers`` was not honoured:
+    a run that fell back to serial, or fewer workers than requested."""
+    notes = []
+    for report in session.shard_reports.values():
+        if report.mode == "serial-fallback":
+            note = f"serial-fallback: {report.reason}"
+        elif report.workers < requested:
+            loads = ", ".join(f"{load:.2f}" for load in report.loads)
+            note = (
+                f"shard-workers: {report.workers} of {requested} requested "
+                f"(one per consumer-owning shard group; offered loads {loads})"
+            )
+        else:
+            continue
+        if note not in notes:
+            notes.append(note)
+    for note in notes:
+        print(note, file=sys.stderr)
+
+
 def _run_spec_file(args: argparse.Namespace) -> int:
     """``sbqa run --spec experiment.json``: the declarative entry point."""
     from repro.api.builder import Experiment
@@ -557,6 +578,7 @@ def _run_spec_file(args: argparse.Namespace) -> int:
         keep_runs=False,
         shard_workers=None if args.parallel else args.workers,
     )
+    _print_shard_placement(session, args.workers)
     _print_session_result(result, args)
     return 0
 
@@ -586,12 +608,14 @@ def _run_session(args: argparse.Namespace) -> int:
         except ValueError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
-        result = Session(spec).run(
+        session = Session(spec)
+        result = session.run(
             parallel=args.parallel,
             max_workers=args.workers if args.parallel else None,
             keep_runs=False,
             shard_workers=None if args.parallel else args.workers,
         )
+        _print_shard_placement(session, args.workers)
         _print_session_result(result, args, suffix=name if len(names) > 1 else "")
         print()
     return 0

@@ -21,7 +21,7 @@ then runs to the horizon and assembles a :class:`RunResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.allocation.factory import make_policy
 from repro.core.engine import make_mediator, make_network
@@ -282,12 +282,7 @@ def wire_run(
         workload.install(sim=sim, population=population, config=config, root=root)
     else:
         total_capacity = registry.total_capacity(online_only=False)
-        rate_scale_of: Dict[str, float] = {
-            project.name: project.rate_scale for project in config.population.projects
-        }
-        focal_consumer = config.population.focal_consumer
-        if focal_consumer is not None:
-            rate_scale_of[focal_consumer.participant_id] = focal_consumer.rate_scale
+        rate_scale_of = config.population.rate_scales()
         for consumer in population.consumers:
             cid = consumer.participant_id
             # Slice workers start arrivals only for owned consumers;
@@ -303,7 +298,7 @@ def wire_run(
                 consumer,
                 demand,
                 rate=config.population.arrival_rate(
-                    total_capacity, rate_scale_of.get(cid, 1.0)
+                    total_capacity, rate_scale_of[cid]
                 ),
                 stream=root.stream(f"workload/arrivals/{cid}"),
                 horizon=config.duration,

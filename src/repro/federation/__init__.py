@@ -28,8 +28,9 @@ from repro.federation.parallel import (
     ParallelViolation,
     ShardSlice,
     parallel_ineligible_reason,
-    plan_groups,
+    plan_placement,
     run_parallel,
+    shard_loads,
 )
 from repro.federation.ring import ShardMap, ShardRing
 
@@ -45,8 +46,9 @@ __all__ = [
     "ParallelViolation",
     "ShardSlice",
     "parallel_ineligible_reason",
-    "plan_groups",
+    "plan_placement",
     "run_parallel",
+    "shard_loads",
     "ShardMap",
     "ShardRing",
 ]

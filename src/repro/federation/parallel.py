@@ -21,7 +21,7 @@ then *activates* only its slice:
   ownership and routing coincide exactly);
 * the churn monitor sweeps only owned participants (the departure
   policy is deterministic per participant -- no shared stream);
-* the metric sampler records raw per-participant rows for owned
+* the metric sampler records raw per-participant columns for owned
   participants instead of global aggregates.
 
 Since a query's entire lifecycle (arrival draw, demand draw, mediation
@@ -29,6 +29,11 @@ draws of its home shard's policy stream, satisfaction updates, result
 delivery, completion, timeout) touches only owned state, each worker
 reproduces exactly the sub-trajectory of the serial run restricted to
 its shards: the same floats, in the same per-shard order.
+
+Nothing above depends on *which* shards share a worker, so any
+partition of the shards merges to the serial digest; the parent places
+them by offered load (:func:`shard_loads`, :func:`plan_placement`)
+only to shorten the slowest worker.
 
 Conservative synchronization
 ----------------------------
@@ -57,8 +62,9 @@ group boundary, the worker's guard fires too.
 Deterministic merge
 -------------------
 Workers timestamp every outcome (mediation, completion, timeout) with
-``(sim time, global consumer ordinal)`` and stream raw per-participant
-sample rows on the shared sample grid.  The parent
+``(sim time, global consumer ordinal)`` and stream one tuple of flat
+per-attribute columns over their owned participants per instant of the
+shared sample grid.  The parent
 
 1. merges the event streams by ``(time, consumer ordinal)`` -- within a
    worker the stream is already in firing order; across workers,
@@ -66,9 +72,9 @@ sample rows on the shared sample grid.  The parent
    exactly equal (measure zero, see ``docs/architecture.md``);
 2. repopulates a real :class:`~repro.metrics.collectors.MetricsHub`,
    replaying each sample instant with the *exact* serial arithmetic
-   (``mean``/``stdev``/``gini`` over registration-ordered rows,
-   plain ``sum`` for capacity) so every series float is identical
-   to the last ulp;
+   (``mean``/``stdev``/``gini`` over the joined columns read back in
+   registration order, plain ``sum`` for capacity) so every series
+   float is identical to the last ulp;
 3. rebuilds the final registry/mediator/network state from per-worker
    harvests (ownership is a partition, so each participant's final
    state comes from exactly one worker) and hands the result to the
@@ -83,13 +89,16 @@ from __future__ import annotations
 
 import heapq
 import multiprocessing
+import time
 import traceback
+from itertools import chain, compress
 from multiprocessing import connection as _mp_connection
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import gini, mean, stdev
 from repro.des.events import make_repeating
+from repro.federation.ring import ShardMap
 from repro.metrics.collectors import MetricsHub
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -134,25 +143,50 @@ def parallel_ineligible_reason(config: ExperimentConfig) -> Optional[str]:
     return None
 
 
-def plan_groups(shards: int, workers: int) -> Tuple[Tuple[int, ...], ...]:
-    """Partition shard ordinals ``0..shards-1`` into contiguous groups.
+def shard_loads(config: ExperimentConfig) -> Tuple[float, ...]:
+    """Offered load per shard ordinal, known from the config alone.
 
-    ``workers`` is clamped to ``shards``; the first ``shards % workers``
-    groups take one extra shard.  Deterministic in both arguments.
+    A consumer's query topic is its own id, so its whole arrival stream
+    -- ``rate_scale`` times the equal share of the global rate -- homes
+    on ``shard_of_topic(cid)``.  A shard's load is the sum of the
+    ``rate_scale`` of the consumers it homes; a shard that homes none
+    mediates nothing (it only samples and sweeps its providers).
     """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
+    shard_map = ShardMap(config.federation)
+    scale_of = config.population.rate_scales()
+    loads = [0.0] * config.federation.shards
+    for cid in config.population.consumer_ids:
+        loads[shard_map.shard_of_topic(cid)] += scale_of[cid]
+    return tuple(loads)
+
+
+def plan_placement(
+    loads: Sequence[float], workers: int
+) -> Tuple[Tuple[int, ...], ...]:
+    """Place shard ordinals ``0..len(loads)-1`` on worker groups by load.
+
+    Greedy longest-processing-time: shards in ``(-load, ordinal)`` order,
+    each to the group with the smallest ``(load, size, index)``, so the
+    heaviest group carries at most ``mean + max(loads)``.  ``workers`` is
+    clamped to the shard count and to the number of loaded shards (at
+    least one), so no group is planned that would own zero consumers;
+    zero-load shards end on the lightest group.  Groups are
+    ordinal-sorted and ordered by first ordinal; the plan is
+    deterministic in both arguments.
+    """
+    if not loads:
+        raise ValueError("need at least one shard load")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, shards)
-    base, extra = divmod(shards, workers)
-    groups: List[Tuple[int, ...]] = []
-    start = 0
-    for i in range(workers):
-        size = base + (1 if i < extra else 0)
-        groups.append(tuple(range(start, start + size)))
-        start += size
-    return tuple(groups)
+    loaded = sum(1 for load in loads if load > 0)
+    workers = min(workers, len(loads), max(1, loaded))
+    groups: List[List[int]] = [[] for _ in range(workers)]
+    totals = [0.0] * workers
+    for ordinal in sorted(range(len(loads)), key=lambda s: (-loads[s], s)):
+        target = min(range(workers), key=lambda g: (totals[g], len(groups[g]), g))
+        groups[target].append(ordinal)
+        totals[target] += loads[ordinal]
+    return tuple(sorted(tuple(sorted(group)) for group in groups))
 
 
 # ----------------------------------------------------------------------
@@ -222,7 +256,7 @@ class ShardSlice:
        and the group definitions the parent will need;
     3. :meth:`owns_consumer` -- gates arrival-process activation;
     4. :meth:`churn_members` -- the owned sublists for the churn monitor;
-    5. :meth:`install_sampler` -- the raw-row sampler replacing
+    5. :meth:`install_sampler` -- the raw-column sampler replacing
        ``hub.start_sampling`` at the same grid.
     """
 
@@ -231,7 +265,7 @@ class ShardSlice:
         self.shards = shards
         #: Outcome events, flushed to the parent at epoch barriers.
         self.events: List[tuple] = []
-        #: Raw sample rows ``(t, consumer rows, provider rows)``.
+        #: Raw sample ticks ``(t, c_sat, c_online, p_sat, p_util, p_online)``.
         self.samples: List[tuple] = []
         self.consumer_ordinal: Dict[str, int] = {}
         self.provider_ordinal: Dict[str, int] = {}
@@ -334,7 +368,7 @@ class ShardSlice:
         return consumers, providers
 
     def install_sampler(self, sim, registry, interval: float) -> None:
-        """Record raw owned-participant rows on the serial sample grid.
+        """Record raw owned-participant columns on the serial sample grid.
 
         Scheduled exactly like ``MetricsHub.start_sampling`` (repeating
         tick, first sample posted at ``t=0`` during wiring) so the grid
@@ -342,25 +376,22 @@ class ShardSlice:
         chain -- match the serial run."""
         if interval <= 0:
             raise ValueError(f"sampling interval must be positive, got {interval}")
-        consumers = [
-            (self.consumer_ordinal[c.participant_id], c)
-            for c in self._owned_consumers
-        ]
-        providers = [
-            (self.provider_ordinal[p.participant_id], p)
-            for p in self._owned_providers
-        ]
+        consumers = self._owned_consumers
+        providers = self._owned_providers
+
         def sample() -> None:
-            # Resolve the buffer per tick: epoch flushes rebind
+            # One flat column per sampled attribute, owned participants
+            # in registration order (the harvest ships their ordinals
+            # once).  Resolve the buffer per tick: epoch flushes rebind
             # ``self.samples`` to a fresh list after each send.
             self.samples.append(
                 (
                     sim.now,
-                    [(o, c.satisfaction, c.online) for o, c in consumers],
-                    [
-                        (o, p.satisfaction, p.utilization, p.online)
-                        for o, p in providers
-                    ],
+                    [c.satisfaction for c in consumers],
+                    [c.online for c in consumers],
+                    [p.satisfaction for p in providers],
+                    [p.utilization for p in providers],
+                    [p.online for p in providers],
                 )
             )
 
@@ -432,6 +463,7 @@ def _harvest(live, shard_slice: ShardSlice) -> dict:
 
 def _worker_main(config, policy_spec, replication, group, conn, ctrl) -> None:
     """Run one shard group to the horizon in conservative epochs."""
+    wall0, cpu0 = time.perf_counter(), time.process_time()
     try:
         from repro.experiments.runner import wire_run
 
@@ -462,7 +494,10 @@ def _worker_main(config, policy_spec, replication, group, conn, ctrl) -> None:
                 next_flush = now + flush_every
                 if ctrl.poll():
                     return  # parent told us to stop (a sibling aborted)
-        conn.send(("done", _harvest(live, shard_slice)))
+        harvest = _harvest(live, shard_slice)
+        harvest["wall_s"] = time.perf_counter() - wall0
+        harvest["cpu_s"] = time.process_time() - cpu0
+        conn.send(("done", harvest))
     except ParallelViolation as exc:
         conn.send(("violation", str(exc)))
     except BaseException:
@@ -636,71 +671,78 @@ def _replay(
     return completions
 
 
+def _registration_order(owned: List[List[int]]) -> List[int]:
+    """Positions that put worker-concatenated columns in registration order.
+
+    ``owned[w]`` holds worker ``w``'s owned global ordinals in column
+    order.  Ownership is a partition, so their concatenation is a
+    permutation of ``0..n-1``; with ``order`` its inverse,
+    ``[column[j] for j in order]`` is the column a serial
+    registration-ordered sweep reads."""
+    joined = [ordinal for ordinals in owned for ordinal in ordinals]
+    if sorted(joined) != list(range(len(joined))):
+        raise AssertionError("worker ownership does not partition the population")
+    order = [0] * len(joined)
+    for position, ordinal in enumerate(joined):
+        order[ordinal] = position
+    return order
+
+
 def _replay_samples(
     hub: MetricsHub,
     sample_lists: List[List[tuple]],
+    consumer_order: List[int],
+    provider_order: List[int],
     completions: List[Tuple[float, int, float]],
     interval: float,
-    capacity_of: Dict[int, float],
-    group_defs: List[Tuple[str, str, List[str]]],
-    consumer_ordinal: Dict[str, int],
-    provider_ordinal: Dict[str, int],
+    capacities: List[float],
+    group_defs: List[Tuple[str, str, List[int]]],
 ) -> None:
     """Re-run every sample instant with the exact serial arithmetic.
 
-    Rows from all workers are concatenated and sorted by global
-    registration ordinal, reproducing the registration-ordered sweeps
-    of ``MetricsHub.sample_once`` float for float.  Completions at
-    exactly a grid instant are counted into that instant's window
-    (the serial order between a completion event and the sample event
-    at the same instant depends on heap seq; completion times are
-    continuous, so the instants coincide with measure zero)."""
-    grid = [row[0] for row in sample_lists[0]]
-    for rows in sample_lists[1:]:
-        if [row[0] for row in rows] != grid:
+    Each worker ships one ``(t, c_sat, c_online, p_sat, p_util,
+    p_online)`` tick of flat columns per grid instant; joined across
+    workers and read through the registration-order permutations they
+    reproduce the registration-ordered sweeps of
+    ``MetricsHub.sample_once`` float for float (``group_defs`` carries
+    member *ordinals*).  Completions at exactly a grid instant are
+    counted into that instant's window (the serial order between a
+    completion event and the sample event at the same instant depends
+    on heap seq; completion times are continuous, so the instants
+    coincide with measure zero)."""
+    grid = [tick[0] for tick in sample_lists[0]]
+    for ticks in sample_lists[1:]:
+        if [tick[0] for tick in ticks] != grid:
             raise AssertionError("workers disagree on the sample grid")
 
     hub._sample_interval = interval
-    for name, kind, ids in group_defs:
-        hub.register_group(name, kind, ids)
-
+    orders = (consumer_order,) * 2 + (provider_order,) * 3
     done = 0  # completions folded into previous windows
     for i, t in enumerate(grid):
-        crow: List[tuple] = []
-        prow: List[tuple] = []
-        for rows in sample_lists:
-            crow.extend(rows[i][1])
-            prow.extend(rows[i][2])
-        crow.sort()
-        prow.sort()
+        columns = []
+        for k, order in enumerate(orders, start=1):
+            joined = list(chain.from_iterable(ticks[i][k] for ticks in sample_lists))
+            columns.append([joined[j] for j in order])
+        c_sat, c_online, p_sat, p_util, p_online = columns
 
-        cons_online = [sat for _, sat, online in crow if online]
+        cons_online = list(compress(c_sat, c_online))
         hub.consumer_satisfaction.append(t, mean(cons_online, default=0.0))
-        prov_online = [
-            (sat, util) for _, sat, util, online in prow if online
-        ]
         hub.provider_satisfaction.append(
-            t, mean([sat for sat, _ in prov_online], default=0.0)
+            t, mean(list(compress(p_sat, p_online)), default=0.0)
         )
-        utilizations = [util for _, util in prov_online]
+        utilizations = list(compress(p_util, p_online))
         hub.utilization_mean.append(t, mean(utilizations))
         hub.utilization_stdev.append(t, stdev(utilizations))
         hub.utilization_gini.append(t, gini(utilizations) if utilizations else 0.0)
-        hub.providers_online.append(t, float(len(prov_online)))
+        hub.providers_online.append(t, float(len(utilizations)))
         hub.consumers_online.append(t, float(len(cons_online)))
-        hub.total_capacity.append(
-            t,
-            sum([capacity_of[o] for o, _, _, online in prow if online]),
-        )
+        hub.total_capacity.append(t, sum(compress(capacities, p_online)))
 
-        csat = {o: sat for o, sat, _ in crow}
-        psat = {o: sat for o, sat, _, _ in prow}
-        for name, kind, ids in group_defs:
-            if kind == "consumer":
-                values = [csat[consumer_ordinal[pid]] for pid in ids]
-            else:
-                values = [psat[provider_ordinal[pid]] for pid in ids]
-            hub.group_satisfaction[name].append(t, mean(values, default=0.0))
+        for name, kind, ordinals in group_defs:
+            sats = c_sat if kind == "consumer" else p_sat
+            hub.group_satisfaction[name].append(
+                t, mean([sats[o] for o in ordinals], default=0.0)
+            )
 
         window = done
         rts: List[float] = []
@@ -745,10 +787,7 @@ def _merge_result(
         for _, pid, online, satisfaction, capacity, work in provider_rows
     ]
     registry = _MergedRegistry(consumers, providers)
-    consumer_ordinal = {c.participant_id: i for i, c in enumerate(consumers)}
-    provider_ordinal = {p.participant_id: i for i, p in enumerate(providers)}
     ordinal_cid = {i: c.participant_id for i, c in enumerate(consumers)}
-    capacity_of = {i: p.capacity for i, p in enumerate(providers)}
 
     mediator = _MergedMediator(
         sum(row[1] for h in harvests for row in h["shards"]),
@@ -769,15 +808,23 @@ def _merge_result(
     hub.rejoins = sorted(
         (r for h in harvests for r in h["rejoins"]), key=lambda r: r.time
     )
+    ordinal_of = {
+        "consumer": {c.participant_id: i for i, c in enumerate(consumers)},
+        "provider": {p.participant_id: i for i, p in enumerate(providers)},
+    }
+    group_defs = []
+    for name, kind, ids in harvests[0]["groups"]:
+        hub.register_group(name, kind, ids)
+        group_defs.append((name, kind, [ordinal_of[kind][pid] for pid in ids]))
     _replay_samples(
         hub,
         sample_lists,
+        _registration_order([[row[0] for row in h["consumers"]] for h in harvests]),
+        _registration_order([[row[0] for row in h["providers"]] for h in harvests]),
         completions,
         config.sample_interval,
-        capacity_of,
-        harvests[0]["groups"],
-        consumer_ordinal,
-        provider_ordinal,
+        [p.capacity for p in providers],
+        group_defs,
     )
 
     summary = build_summary(
@@ -809,15 +856,23 @@ class ParallelRunReport:
     """Outcome of :func:`run_parallel`.
 
     ``mode`` is ``"parallel"`` when the worker fleet produced the
-    result, ``"serial-fallback"`` when the configuration was ineligible
-    or a worker aborted (``reason`` says why); ``result`` is correct and
-    digest-identical to the serial run either way."""
+    result, ``"serial-fallback"`` when the configuration was ineligible,
+    the plan left a single loaded group, or a worker aborted (``reason``
+    says why); ``result`` is correct and digest-identical to the serial
+    run either way.  ``groups`` is the placement that was forked (empty
+    when the serial decision preceded it), ``loads`` the offered load
+    (:func:`shard_loads`) of each group, ``wall_s``/``cpu_s`` what each
+    worker measured from its first instruction to its harvest (empty
+    unless ``mode == "parallel"``)."""
 
     mode: str
     reason: Optional[str]
     workers: int
     groups: Tuple[Tuple[int, ...], ...]
     result: object  # RunResult
+    loads: Tuple[float, ...] = ()
+    wall_s: Tuple[float, ...] = ()
+    cpu_s: Tuple[float, ...] = ()
 
 
 def run_parallel(
@@ -829,22 +884,44 @@ def run_parallel(
     """Execute one federated run across ``workers`` shard-group processes.
 
     Digest-identical to ``run_once(config, policy_spec, replication)``
-    for every eligible configuration; transparently serial otherwise."""
+    for every eligible configuration; serial otherwise -- including when
+    more than one worker was asked for but one shard group would carry
+    all offered load, which is known before forking.  ``workers=1`` is
+    honoured as asked: one worker, the protocol-overhead probe."""
     from repro.experiments.runner import run_once
 
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     reason = parallel_ineligible_reason(config)
-    if reason is not None:
-        return ParallelRunReport(
-            mode="serial-fallback",
-            reason=reason,
-            workers=0,
-            groups=(),
-            result=run_once(config, policy_spec, replication=replication),
-        )
+    if reason is None:
+        groups = plan_placement(shard_loads(config), workers)
+        if workers == 1 or len(groups) > 1:
+            return _run_groups(config, policy_spec, groups, replication)
+        reason = "one shard group carries all offered load"
+    return ParallelRunReport(
+        mode="serial-fallback",
+        reason=reason,
+        workers=0,
+        groups=(),
+        result=run_once(config, policy_spec, replication=replication),
+    )
 
-    groups = plan_groups(config.federation.shards, workers)
+
+def _run_groups(
+    config: ExperimentConfig,
+    policy_spec: PolicySpec,
+    groups: Tuple[Tuple[int, ...], ...],
+    replication: int = 0,
+) -> ParallelRunReport:
+    """Fork one worker per shard group, collect, merge.
+
+    ``groups`` may be *any* partition of the shard ordinals: the merged
+    digest does not depend on placement (workers never exchange
+    messages and the merge keys on ``(time, consumer ordinal)``).
+    :func:`run_parallel` passes the load-aware plan; the placement
+    invariance tests pass random partitions."""
+    from repro.experiments.runner import run_once
+
     ctx = multiprocessing.get_context("fork")
     procs = []
     states: Dict[object, dict] = {}
@@ -865,6 +942,10 @@ def run_parallel(
             procs.append(proc)
             ctrls.append(ctrl_send)
             states[data_recv] = {"events": [], "samples": [], "harvest": None}
+
+        # For the report only; computed while the workers wire up.
+        shard_load = shard_loads(config)
+        loads = tuple(sum(shard_load[s] for s in group) for group in groups)
 
         pending = dict(states)
         while pending and failure is None:
@@ -925,13 +1006,15 @@ def run_parallel(
             workers=0,
             groups=groups,
             result=run_once(config, policy_spec, replication=replication),
+            loads=loads,
         )
 
     ordered = list(states.values())
+    harvests = [state["harvest"] for state in ordered]
     result = _merge_result(
         config,
         policy_spec,
-        [state["harvest"] for state in ordered],
+        harvests,
         [state["events"] for state in ordered],
         [state["samples"] for state in ordered],
     )
@@ -941,4 +1024,7 @@ def run_parallel(
         workers=len(groups),
         groups=groups,
         result=result,
+        loads=loads,
+        wall_s=tuple(h["wall_s"] for h in harvests),
+        cpu_s=tuple(h["cpu_s"] for h in harvests),
     )

@@ -440,18 +440,23 @@ def measure_parallel_federation(
     it reports achievable speedup of the mediation phase, not a wall
     clock observed on this host.
 
-    Traffic comes from ``3 * shards`` consumers (round-robin), so every
-    shard sees queries and the consistent-hash imbalance across
-    groups is part of the measurement.
+    Traffic comes from ``3 * shards`` consumers (round-robin); groups
+    are the runtime's own load-aware placement over the per-shard
+    consumer counts, so what consistent hashing leaves unbalanced after
+    placement is part of the measurement.
     """
     from repro.federation import FederationConfig, ShardMap
-    from repro.federation.parallel import plan_groups
+    from repro.federation.parallel import plan_placement
 
     consumers = 3 * shards
     shard_map = ShardMap(FederationConfig(shards=shards))
     home = {
         f"c{j}": shard_map.shard_of_topic(f"c{j}") for j in range(consumers)
     }
+    # Equal-rate round-robin traffic: a shard's load is its consumer count.
+    loads = [0] * shards
+    for ordinal in home.values():
+        loads[ordinal] += 1
 
     def _queries(consumer_objs):
         return [
@@ -507,7 +512,7 @@ def measure_parallel_federation(
     rows: Dict[str, object] = {}
     best_speedup = 1.0
     for workers in worker_counts:
-        groups = plan_groups(shards, workers)
+        groups = plan_placement(loads, workers)
         max_slice = max(_slice_seconds(groups))
         per_s = mediations / max_slice
         speedup = per_s / serial_per_s

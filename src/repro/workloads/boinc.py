@@ -201,6 +201,13 @@ class BoincScenarioParams:
             ids.append(self.focal_consumer.participant_id)
         return ids
 
+    def rate_scales(self) -> Dict[str, float]:
+        """``consumer id -> rate_scale`` for every id in :attr:`consumer_ids`."""
+        scales = {project.name: project.rate_scale for project in self.projects}
+        if self.focal_consumer is not None:
+            scales[self.focal_consumer.participant_id] = self.focal_consumer.rate_scale
+        return scales
+
     def arrival_rate(self, total_capacity: float, rate_scale: float = 1.0) -> float:
         """Per-consumer Poisson rate hitting the target system load.
 

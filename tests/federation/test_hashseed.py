@@ -107,6 +107,35 @@ sys.stdout.write(digests[0])
 """
 
 
+#: Placement probe: per-shard offered loads and the load-aware plan
+#: for several (K, W) -- decided in the parent before forking, so it
+#: must not depend on set/dict iteration order either.
+_PLACEMENT_SCRIPT = """
+import json, sys
+from repro.experiments.config import ExperimentConfig
+from repro.federation import FederationConfig, plan_placement, shard_loads
+from repro.workloads.boinc import BoincScenarioParams, ProjectSpec
+
+projects = tuple(
+    ProjectSpec(f"project{i}", "normal", popularity_weight=1.0, rate_scale=0.5 + i % 4)
+    for i in range(11)
+)
+out = {}
+for shards in (2, 3, 8, 16):
+    config = ExperimentConfig(
+        name="placement",
+        population=BoincScenarioParams(n_providers=8, projects=projects),
+        federation=FederationConfig(shards=shards),
+    )
+    loads = shard_loads(config)
+    out[str(shards)] = {
+        "loads": loads,
+        "plans": [plan_placement(loads, workers) for workers in (1, 2, 3, 5)],
+    }
+json.dump(out, sys.stdout, sort_keys=True)
+"""
+
+
 def _run_with_hash_seed(script: str, seed: str) -> str:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = seed
@@ -144,3 +173,10 @@ def test_parallel_digest_identical_across_hash_seeds_and_workers():
     baseline = _run_with_hash_seed(_PARALLEL_SCRIPT, "0")
     assert len(baseline) == 64  # sha256 hex
     assert _run_with_hash_seed(_PARALLEL_SCRIPT, "random") == baseline
+
+
+def test_placement_identical_across_hash_seeds():
+    baseline = _run_with_hash_seed(_PLACEMENT_SCRIPT, "0")
+    assert len(json.loads(baseline)["16"]["plans"][3]) == 5
+    for seed in ("4242", "random"):
+        assert _run_with_hash_seed(_PLACEMENT_SCRIPT, seed) == baseline
