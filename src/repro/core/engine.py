@@ -16,7 +16,9 @@ the event-faithful core while cutting the per-mediation constant:
   ``select_fast`` decision whenever tracing is off (*every* policy has
   one -- the base class delegates to ``select``, and SbQA plus all six
   baselines override it), reads ``P_q`` from the registry's cached
-  capability snapshot, computes the consultation delay analytically
+  capability snapshot (and hands SbQA that snapshot's
+  :class:`~repro.core.soa.ConsultColumns`, whatever the latency model),
+  computes the consultation delay analytically
   when the latency model is deterministic (every round-trip is ``2c``,
   so the max over pairs is too), and -- when the one-way delay is a
   positive constant -- collapses the ``len(allocated) + 1``
@@ -42,7 +44,6 @@ keeps the reference implementation one flag away.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Optional
 
 from repro.core.mediator import Mediator
@@ -60,10 +61,11 @@ DEFAULT_ENGINE = "fast"
 
 #: Private hook for the differential tests and ``repro.perf``: set to
 #: False before constructing a :class:`FastMediator` to run every
-#: mediation through the scalar reference (``select_fast`` +
-#: ``_commit``) and compare it with the fused kernel.  Not
-#: configuration -- no flag, config field or environment variable
-#: reads or sets it.
+#: mediation through the scalar reference (the object route of
+#: ``select_fast`` + ``_commit``) and compare it with both column
+#: uses -- the fused kernel and ``select_fast``'s column route, which
+#: it switches off together.  Not configuration -- no flag, config
+#: field or environment variable reads or sets it.
 _FUSED_KERNEL = True
 
 
@@ -327,14 +329,28 @@ class FastMediator(Mediator):
       per-delivery structure is kept -- :class:`FastNetwork` still
       strips the envelopes.)
 
-    With a *random* latency model the collapse is disabled entirely:
-    delivery delays must be drawn from the shared latency stream at
-    dispatch time, in dispatch order, or every later draw in the run
-    would shift.
+    With a *random* latency model the collapse is off -- delivery
+    delays must be drawn from the shared latency stream at dispatch
+    time, in dispatch order, or every later draw in the run would
+    shift -- but the *decision* is not: nothing in KnBest / Equation 2 /
+    Definition 3 reads the latency model, so ``select_fast`` is handed
+    the snapshot's columns and decides through the same
+    :meth:`~repro.core.soa.ConsultColumns.decide` the fused kernel
+    calls.  Three routes, counted in :attr:`route_counts`
+    (``traced`` is the fourth count: the faithful base-class pipeline):
+
+    * **fused** -- positive constant latency: ``decide`` + inlined
+      window updates + lazy record + collapsed dispatch;
+    * **columns** -- any other latency: ``select_fast`` (column route)
+      + :meth:`_commit`, one event per delivery, consultation
+      round-trips drawn in order by
+      :meth:`~repro.des.network.LatencyModel.worst_round_trip`;
+    * **scalar** -- ``select_fast`` without columns (its object route
+      for SbQA), for the reason tallied in ``scalar_reasons``.
     """
 
     #: Shard ordinal when this mediator is one shard of a federation
-    #: (see :mod:`repro.federation`); 0 standalone.  Part of the fused
+    #: (see :mod:`repro.federation`); 0 standalone.  Part of the
     #: column-cache key so per-shard column state stays disjoint even
     #: if shard mediators ever share a cache.
     shard_ordinal = 0
@@ -344,216 +360,129 @@ class FastMediator(Mediator):
         self._constant_one_way = self.network.latency.constant_delay()
         self._fast_select = self.policy.select_fast
         # One reusable context for the hot loop (consumed synchronously
-        # by exactly one select per mediation; only .now changes).
+        # by exactly one select per mediation; .now and .columns change).
         self._ctx = AllocationContext(now=0.0, trace=NULL_RECORDER)
-        # The fused structure-of-arrays kernel (see repro.core.soa) is
-        # the default mediation path; it engages when
-        #  * the policy is exactly SbQAPolicy with a built-in omega;
-        #  * the latency model has a positive constant one-way delay
-        #    (the same condition the collapsed dispatch requires).
-        # Model support is decided per (snapshot, consumer, topic) when
-        # the columns are built; unsupported mixes fall back per query.
+        # The structure-of-arrays decision stage (see repro.core.soa)
+        # is the default: columns are cached whenever the policy is
+        # exactly SbQAPolicy with a built-in omega -- whatever the
+        # latency model.  Model support is decided per (snapshot,
+        # consumer, topic) when the columns are built; unsupported
+        # mixes fall back per query.  What the latency model decides is
+        # only how the decision is committed: the fused kernel's
+        # collapsed dispatch needs a positive constant one-way delay.
+        self._column_cache: Optional[dict] = None
+        if not fused_policy_supported(self.policy):
+            self._scalar_reason = "policy not column-encodable"
+        elif not _FUSED_KERNEL:
+            self._scalar_reason = "kernel hook off"
+        else:
+            self._scalar_reason = "unsupported intention models"
+            self._column_cache = {}
         c = self._constant_one_way
-        self._fused_columns: Optional[dict] = None
-        if (
-            c is not None
-            and c > 0.0
-            and fused_policy_supported(self.policy)
-            and _FUSED_KERNEL
-        ):
-            self._fused_columns = {}
+        self._fused = self._column_cache is not None and c is not None and c > 0.0
+        #: Mediations by route -- execution metadata like ``engine``,
+        #: never part of a result dict or digest.  Mediations that
+        #: found ``P_q`` empty, and a shard's forwarded ones (counted in
+        #: ``forwarded``), took none of these routes.
+        self.route_counts = {"fused": 0, "columns": 0, "scalar": 0, "traced": 0}
+
+    @property
+    def scalar_reasons(self) -> dict:
+        """Why the scalar-route mediations were scalar: reason -> count.
+
+        Derived: one mediator has exactly one possible reason (fixed at
+        construction without a column cache, the per-query model check
+        with one).
+        """
+        scalar = self.route_counts["scalar"]
+        return {self._scalar_reason: scalar} if scalar else {}
 
     def mediate(self, query) -> AllocationRecord:
         if self.trace.enabled:
+            self.route_counts["traced"] += 1
             return super().mediate(query)
-        if self._fused_columns is not None:
-            return self._mediate_fused(query)
         self.mediations += 1
-        candidates = self.registry.capable_snapshot(query.topic)
+        if self._column_cache is None:
+            candidates = self.registry.capable_snapshot(query.topic)
+            cols = None
+        else:
+            meta = self.registry.snapshot_meta(query.topic)
+            candidates = meta.snapshot
+            cols = self._columns_for(query, meta) if candidates else None
         if not candidates:
             return self._fail(query)
-        ctx = self._ctx
-        ctx.now = self.now
-        decision = self._fast_select(query, candidates, ctx)
-        if not decision.allocated:
-            return self._fail(query)
-        return self._commit(query, candidates, decision)
+        if cols is not None and self._fused:
+            return self._mediate_fused(query, cols)
+        return self._select_and_commit(query, candidates, cols)
 
     # No _select override: the hot mediate() above routes to select_fast
     # itself, and the super().mediate() fallback (tracing on) wants the
     # faithful policy.select that the base hook already provides.
 
-    def _mediate_fused(self, query) -> AllocationRecord:
-        """One mediation through the fused SoA kernel.
+    def _columns_for(self, query, meta) -> Optional[ConsultColumns]:
+        """Refreshed columns of ``(shard, consumer, topic)``, or None.
 
-        The entire SbQA pipeline -- KnBest stage 1 (the exact stdlib
-        draw sequence over snapshot ordinals), stage 2 (utilization
-        sort with integer-rank tie-breaks), intention consultation from
-        the :class:`~repro.core.soa.ConsultColumns`, per-pair Equation-2
-        omega, Definition-3 scores, ranking, and both satisfaction
-        windows -- runs as one pass over ordinal columns, with the
-        bookkeeping of :meth:`_commit` inlined.  Every float is
-        produced by the same expression shapes in the same order as the
-        select_fast/_commit path, so allocations, windows and digests
-        are bit-identical (asserted by the differential oracle in
-        ``tests/oracle/``).
+        Cached against the snapshot's identity: a membership/online
+        transition hands out a new tuple, and the columns are rebuilt.
+        None means the model mix is outside the column encoding (custom
+        intention models) and the query takes the scalar route.
         """
-        self.mediations += 1
-        topic = query.topic
-        meta = self.registry.snapshot_meta(topic)
-        snapshot = meta.snapshot
-        if not snapshot:
-            return self._fail(query)
+        cache = self._column_cache
         consumer = query.consumer
-
-        columns = self._fused_columns
+        topic = query.topic
+        snapshot = meta.snapshot
         key = (self.shard_ordinal, consumer.participant_id, topic)
-        cols = columns.get(key)
+        cols = cache.get(key)
         if cols is None or cols.snapshot is not snapshot:
             if cols is not None:
                 cols.detach()
             cols = ConsultColumns.build(
                 snapshot, meta, consumer, topic, shard=self.shard_ordinal
             )
-            columns[key] = cols
+            cache[key] = cols
         if not cols.supported:
-            # Model mix outside the column encoding (custom intention
-            # models): scalar oracle path, same decision, same digests.
-            ctx = self._ctx
-            ctx.now = self.now
-            decision = self._fast_select(query, snapshot, ctx)
-            if not decision.allocated:
-                return self._fail(query)
-            return self._commit(query, snapshot, decision)
+            return None
         if cols.dirty:
             cols.refresh()
+        return cols
 
-        policy = self.policy
-        selector = policy.selector
-        k = selector.k
-        kn = selector.kn
-        n = len(snapshot)
+    def _select_and_commit(self, query, candidates, cols) -> AllocationRecord:
+        """``select_fast`` (column route when ``cols``) + :meth:`_commit`."""
+        self.route_counts["scalar" if cols is None else "columns"] += 1
+        ctx = self._ctx
+        ctx.now = self.sim._now
+        ctx.columns = cols
+        decision = self._fast_select(query, candidates, ctx)
+        # Columns describe *this* snapshot only; other users of the
+        # shared context (a shard's forwarded select over a merged
+        # pool) must never see them.
+        ctx.columns = None
+        if not decision.allocated:
+            return self._fail(query)
+        return self._commit(query, candidates, decision)
 
-        # -- KnBest stage 1: the RandomStream.sample_indices draw
-        # sequence, inlined (getrandbits resolved once, no frames) ----
-        getrandbits = selector._stream._rng.getrandbits
-        if k > n:
-            k = n
-        sampled = [0] * k
-        setsize = 21
-        if k > 5:
-            setsize += 4 ** math.ceil(math.log(k * 3, 4))
-        if n <= setsize:
-            pool = list(range(n))
-            for i in range(k):
-                m = n - i
-                bits = m.bit_length()
-                j = getrandbits(bits)
-                while j >= m:
-                    j = getrandbits(bits)
-                sampled[i] = pool[j]
-                pool[j] = pool[m - 1]
-        else:
-            selected: set = set()
-            selected_add = selected.add
-            bits = n.bit_length()
-            for i in range(k):
-                j = getrandbits(bits)
-                while j >= n:
-                    j = getrandbits(bits)
-                while j in selected:
-                    j = getrandbits(bits)
-                    while j >= n:
-                        j = getrandbits(bits)
-                selected_add(j)
-                sampled[i] = j
+    def _mediate_fused(self, query, cols: ConsultColumns) -> AllocationRecord:
+        """One mediation through the fused SoA kernel.
 
-        # -- KnBest stage 2: utilization sort, rank tie-breaks ---------
-        # Provider.utilization inlined (same max/min arithmetic); ranks
-        # are order-isomorphic to participant ids within one snapshot.
+        The decision is :meth:`ConsultColumns.decide
+        <repro.core.soa.ConsultColumns.decide>` (shared with
+        ``select_fast``'s column route); what is fused *here* is the
+        commit: both satisfaction windows updated inline, a lazy
+        record, the analytic ``2c`` consultation delay and the
+        collapsed dispatch.  Every float is produced by the same
+        expression shapes in the same order as the select_fast/_commit
+        path, so allocations, windows and digests are bit-identical
+        (asserted by the differential oracle in ``tests/oracle/``).
+        """
+        self.route_counts["fused"] += 1
+        snapshot = cols.snapshot
+        consumer = query.consumer
         now = self.sim._now
-        ranks = cols.ranks
-        horizons = cols.horizons
-        decorated = []
-        append = decorated.append
-        for s in sampled:
-            backlog = snapshot[s]._busy_until - now
-            if backlog < 0.0:
-                backlog = 0.0
-            u = backlog / horizons[s]
-            if u > 1.0:
-                u = 1.0
-            append((u, ranks[s], s))
-        decorated.sort()
-        working = decorated[:kn]
-        nw = len(working)
-
-        # -- consultation + Equation 2 + Definition 3, one pass --------
-        omega_fixed = policy._omega_fixed
-        if omega_fixed is None:
-            # ConsumerSatisfactionTracker.satisfaction(), inlined.
-            ct_ = consumer.tracker
-            n_sat = len(ct_._satisfactions)
-            if n_sat:
-                cs = ct_._sat_sum / n_sat
-                if cs < 0.0:
-                    cs = 0.0
-                elif cs > 1.0:
-                    cs = 1.0
-            else:
-                cs = 0.5
-        pp = cols.pp
-        betas = cols.betas
-        ci_col = cols.ci
-        trackers = cols.trackers
-        epsilon = policy.config.epsilon
-        ranked = []
-        rank_append = ranked.append
-        pi_list = []
-        pi_append = pi_list.append
-        for u, rank, s in working:
-            # PI_q[p]: blend base + load term, clamped (the exact
-            # expression shape of PreferenceUtilizationIntentions;
-            # beta*(1 - 2u) must not be algebraically refactored).
-            pi = pp[s] + betas[s] * (1.0 - 2.0 * u)
-            if pi > 1.0:
-                pi = 1.0
-            elif pi < -1.0:
-                pi = -1.0
-            pi_append(pi)
-            ci = ci_col[s]
-            if omega_fixed is None:
-                # ProviderSatisfactionTracker.satisfaction(), inlined.
-                tracker = trackers[s]
-                if tracker._proposals:
-                    performed = tracker._performed_in_window
-                    if performed:
-                        ps = tracker._performed_unit_sum / performed
-                        if ps < 0.0:
-                            ps = 0.0
-                        elif ps > 1.0:
-                            ps = 1.0
-                    else:
-                        ps = 0.0
-                else:
-                    ps = 0.5
-                omega = ((cs - ps) + 1.0) / 2.0
-            else:
-                omega = omega_fixed
-            if pi > 0.0 and ci > 0.0:
-                score = (pi ** omega) * (ci ** (1.0 - omega))
-            else:
-                score = -(
-                    ((1.0 - pi + epsilon) ** omega)
-                    * ((1.0 - ci + epsilon) ** (1.0 - omega))
-                )
-            rank_append((-score, rank, s, pi, ci, omega))
-        ranked.sort()
-
+        consulted, ranked = cols.decide(self.policy, query, now)
+        nw = len(consulted)
         n_results = query.n_results
         take = n_results if n_results < nw else nw
         top = ranked[:take]
-        chosen = {row[2] for row in top}
         allocated = [snapshot[row[2]] for row in top]
 
         # -- Equation 1 over the performer set (decision order) --------
@@ -564,10 +493,13 @@ class FastMediator(Mediator):
         if satisfaction > 1.0:
             satisfaction = 1.0
 
-        # -- Definition-2 windows (record_proposal inlined, working
-        #    order -- the order _commit walks decision.informed) -------
-        for i, (u, rank, s) in enumerate(working):
-            tracker = trackers[s]
+        # -- Definition-2 windows (record_proposal inlined).  Walked in
+        #    ranking order, where "performed" is a position test; each
+        #    provider owns its tracker, so the order _commit walks
+        #    decision.informed in leaves the same state. ---------------
+        trackers = cols.trackers
+        for i, row in enumerate(ranked):
+            tracker = trackers[row[2]]
             proposals = tracker._proposals
             if len(proposals) == tracker.memory:
                 evicted = proposals[0]
@@ -575,8 +507,8 @@ class FastMediator(Mediator):
                     tracker._performed_in_window -= 1
                     tracker._performed_unit_sum -= (evicted[0] + 1.0) / 2.0
                 tracker._evictions_since_rebuild += 1
-            performed = s in chosen
-            pi = pi_list[i]
+            performed = i < take
+            pi = row[3]
             proposals.append((pi, performed))
             tracker.total_proposed += 1
             if performed:
@@ -588,7 +520,7 @@ class FastMediator(Mediator):
 
         # -- adequation over the configured pool -----------------------
         if self.adequation_over_candidates:
-            pool_ci = sorted(ci_col, reverse=True)
+            pool_ci = sorted(cols.ci, reverse=True)
         else:
             pool_ci = sorted((row[4] for row in ranked), reverse=True)
         total = 0.0
@@ -641,7 +573,7 @@ class FastMediator(Mediator):
             adequation_value,
             consult_delay,
             ranked,
-            [row[2] for row in working],
+            [row[2] for row in consulted],
             cols.pids,
             snapshot,
         )
@@ -747,9 +679,17 @@ class FastMediator(Mediator):
     def _dispatch_record(
         self, record: AllocationRecord, consumer, consult_delay: float
     ) -> None:
-        c = self._constant_one_way
-        if c is None or c <= 0.0 or self.trace.enabled:
+        if self.trace.enabled:
             super()._dispatch_record(record, consumer, consult_delay)
+            return
+        c = self._constant_one_way
+        if c is None or c <= 0.0:
+            # Per-delivery sends (their delays are drawn at dispatch
+            # time, in dispatch order): the faithful dispatch closure,
+            # posted where the base class schedules it -- same instant,
+            # same default priority, same seq -- without the label,
+            # Event and EventHandle.
+            self.sim.post_in(consult_delay, self._dispatcher(record, consumer))
             return
         # Two hops, mirroring the faithful chain's scheduling moments
         # (and therefore its tie-breaking seq order and its clock

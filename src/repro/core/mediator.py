@@ -248,27 +248,28 @@ class Mediator(Entity):
         mediation result to the consumer", Section III; consumers use
         it to arm their result deadline).  The fast engine overrides
         this with a collapsed single-event path when the latency model
-        is deterministic.
+        is deterministic, and posts the same closure without a handle
+        when it is not.
         """
+        self.sim.schedule_in(
+            consult_delay,
+            self._dispatcher(record, consumer),
+            label=f"dispatch:{record.query.qid}",
+        )
+
+    def _dispatcher(self, record: AllocationRecord, consumer):
+        """The action that sends one allocation out, message by message."""
 
         def dispatch() -> None:
             for provider in record.allocated:
                 self.network.send("execute", self, provider, payload=record)
             self.network.send("mediation-ok", self, consumer, payload=record)
 
-        self.sim.schedule_in(
-            consult_delay, dispatch, label=f"dispatch:{record.query.qid}"
-        )
+        return dispatch
 
     def _consultation_delay(self, consumer, informed: Sequence["Provider"]) -> float:
         """Parallel request/reply round-trips: the slowest pair gates."""
-        latency = self.network.latency
-        worst = latency.delay(self, consumer) + latency.delay(consumer, self)
-        for provider in informed:
-            rtt = latency.delay(self, provider) + latency.delay(provider, self)
-            if rtt > worst:
-                worst = rtt
-        return worst
+        return self.network.latency.worst_round_trip(self, consumer, informed)
 
     def _store(self, record: AllocationRecord) -> None:
         if self.keep_records:

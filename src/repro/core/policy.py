@@ -34,6 +34,11 @@ class AllocationContext:
 
     now: float
     trace: TraceRecorder = NULL_RECORDER
+    #: The candidates' :class:`~repro.core.soa.ConsultColumns` for this
+    #: (consumer, topic), refreshed, when the fast engine has them;
+    #: None on the event engine, under tracing, for model mixes the
+    #: columns cannot encode and for policies they do not serve.
+    columns: Optional[object] = None
 
 
 @dataclass
@@ -165,7 +170,13 @@ class AllocationPolicy:
           reusable :meth:`~repro.system.registry.SystemRegistry.
           capable_snapshot` tuple), so derived data may be cached on
           its identity;
-        * ``ctx.now`` equals the simulation clock of every candidate.
+        * ``ctx.now`` equals the simulation clock of every candidate;
+        * ``ctx.columns``, when not None, holds that snapshot's
+          refreshed structure-of-arrays consultation state for
+          ``query``'s consumer and topic, and a policy may decide from
+          it instead of the provider objects (SbQA does) as long as the
+          decision it returns is the same one, maps and their key order
+          included.
 
         The default delegates to :meth:`select`, so third-party
         policies are correct (if not faster) out of the box.

@@ -1,14 +1,17 @@
-"""Structure-of-arrays consultation state for the fused fast-engine kernel.
+"""Structure-of-arrays consultation state and the fast engine's decision stage.
 
-The fast engine's default mediation kernel (:meth:`repro.core.engine.
-FastMediator._mediate_fused`) works in *snapshot ordinals*: every
-provider of one registry capability snapshot is addressed by its slot
-``s`` in the snapshot tuple, and everything the per-query consultation
-needs -- static preference bases, blend weights, saturation horizons,
-tracker references, the consumer's intention towards each provider --
-lives in preallocated parallel columns indexed by ``s``.  This module
-owns those columns and the lazily-materialised allocation record the
-kernel emits.
+The fast engine decides in *snapshot ordinals*: every provider of one
+registry capability snapshot is addressed by its slot ``s`` in the
+snapshot tuple, and everything the per-query consultation needs --
+static preference bases, blend weights, saturation horizons, tracker
+references, the consumer's intention towards each provider -- lives in
+preallocated parallel columns indexed by ``s``.  This module owns those
+columns, the decision stage that reads them
+(:meth:`ConsultColumns.decide`: KnBest, Equation 2, Definition 3, rank
+-- called by the fused kernel :meth:`repro.core.engine.FastMediator.
+_mediate_fused` under constant latency and by the column route of
+:meth:`repro.core.sbqa.SbQAPolicy.select_fast` under any other), and
+the lazily-materialised allocation record the fused kernel emits.
 
 Ownership and invariants
 ------------------------
@@ -63,9 +66,10 @@ math fall back to the scalar oracle path automatically):
   refreshing.
 
 Any other combination makes :meth:`ConsultColumns.build` return an
-:class:`UnsupportedColumns` marker and the engine falls back to the
-``select_fast`` scalar path -- same decisions, same digests, just
-without the fused kernel's constant-factor savings.
+:class:`UnsupportedColumns` marker and the engine hands ``select_fast``
+no columns for that query: its object route decides -- same decisions,
+same digests, just without the columns' constant-factor savings -- and
+the mediator counts the query under ``scalar_reasons``.
 """
 
 from __future__ import annotations
@@ -291,6 +295,109 @@ class ConsultColumns:
             if s is not None:
                 ci[s] = self._ci(pid)
         self.dirty.clear()
+
+    def decide(self, policy: SbQAPolicy, query, now: float):
+        """The SbQA decision stage in snapshot ordinals: ``(consulted, ranked)``.
+
+        The one place the fast engine's KnBest / Equation 2 /
+        Definition 3 arithmetic lives: stage 1
+        (:meth:`RandomStream.sample_indices`, draw for draw the
+        sequence of sampling the provider objects), stage 2
+        (utilization sort with integer-rank tie-breaks), intention
+        consultation from the columns, per-pair omega, scores and the
+        ranking.  Both results hold one ``(-score, rank, s, pi, ci,
+        omega)`` row per member of ``Kn``: ``consulted`` in working-set
+        order (least utilized first -- the order intentions were asked
+        in, and the key order of a decision's maps), ``ranked`` best
+        first.  Nothing here reads the latency model, so both
+        fast-engine routes call it -- the fused kernel
+        (:meth:`FastMediator._mediate_fused`) and the column route of
+        :meth:`SbQAPolicy.select_fast` -- and every float is produced
+        by the same expression shapes in the same order as the object
+        route of ``select_fast`` (asserted by ``tests/oracle/``).
+        Requires ``fused_policy_supported(policy)`` and refreshed
+        columns.
+        """
+        snapshot = self.snapshot
+        selector = policy.selector
+        # -- KnBest stage 1: the stdlib draw sequence over ordinals ----
+        sampled = selector._stream.sample_indices(len(snapshot), selector.k)
+
+        # -- KnBest stage 2: utilization sort, rank tie-breaks ---------
+        # Provider.utilization inlined (same max/min arithmetic); ranks
+        # are order-isomorphic to participant ids within one snapshot.
+        ranks = self.ranks
+        horizons = self.horizons
+        decorated = []
+        append = decorated.append
+        for s in sampled:
+            backlog = snapshot[s]._busy_until - now
+            if backlog < 0.0:
+                backlog = 0.0
+            u = backlog / horizons[s]
+            if u > 1.0:
+                u = 1.0
+            append((u, ranks[s], s))
+        decorated.sort()
+
+        # -- consultation + Equation 2 + Definition 3, one pass --------
+        omega_fixed = policy._omega_fixed
+        if omega_fixed is None:
+            # ConsumerSatisfactionTracker.satisfaction(), inlined.
+            ct_ = query.consumer.tracker
+            n_sat = len(ct_._satisfactions)
+            if n_sat:
+                cs = ct_._sat_sum / n_sat
+                if cs < 0.0:
+                    cs = 0.0
+                elif cs > 1.0:
+                    cs = 1.0
+            else:
+                cs = 0.5
+        pp = self.pp
+        betas = self.betas
+        ci_col = self.ci
+        trackers = self.trackers
+        epsilon = policy.config.epsilon
+        consulted = []
+        consult = consulted.append
+        for u, rank, s in decorated[: selector.kn]:
+            # PI_q[p]: blend base + load term, clamped (the exact
+            # expression shape of PreferenceUtilizationIntentions;
+            # beta*(1 - 2u) must not be algebraically refactored).
+            pi = pp[s] + betas[s] * (1.0 - 2.0 * u)
+            if pi > 1.0:
+                pi = 1.0
+            elif pi < -1.0:
+                pi = -1.0
+            ci = ci_col[s]
+            if omega_fixed is None:
+                # ProviderSatisfactionTracker.satisfaction(), inlined.
+                tracker = trackers[s]
+                if tracker._proposals:
+                    performed = tracker._performed_in_window
+                    if performed:
+                        ps = tracker._performed_unit_sum / performed
+                        if ps < 0.0:
+                            ps = 0.0
+                        elif ps > 1.0:
+                            ps = 1.0
+                    else:
+                        ps = 0.0
+                else:
+                    ps = 0.5
+                omega = ((cs - ps) + 1.0) / 2.0
+            else:
+                omega = omega_fixed
+            if pi > 0.0 and ci > 0.0:
+                score = (pi ** omega) * (ci ** (1.0 - omega))
+            else:
+                score = -(
+                    ((1.0 - pi + epsilon) ** omega)
+                    * ((1.0 - ci + epsilon) ** (1.0 - omega))
+                )
+            consult((-score, rank, s, pi, ci, omega))
+        return consulted, sorted(consulted)
 
     def detach(self) -> None:
         """Unhook the dirty set from the consumer (columns retired)."""

@@ -59,9 +59,30 @@ class LatencyModel:
         this float for every pair *without consuming randomness*, which
         is what lets the fast engine compute consultation round-trips
         analytically and collapse dispatch deliveries into one event
-        (see :mod:`repro.core.engine`).
+        (see :mod:`repro.core.engine`).  ``None`` costs a run that
+        collapse and nothing else: every delivery stays one event whose
+        delay is drawn at send time, and the consultation round-trips
+        are drawn by :meth:`worst_round_trip`; the fast engine's
+        decision stage does not read the latency model and runs either
+        way.
         """
         return None
+
+    def worst_round_trip(self, mediator: Entity, consumer: Entity, informed) -> float:
+        """The slowest of the parallel consultation round-trips.
+
+        One request/reply exchange with the consumer, then one with
+        each informed provider in order; the slowest pair gates the
+        dispatch.  This default calls :meth:`delay` once per direction
+        per pair, so any model is correct through it; an override must
+        draw the same values from the same stream in the same order.
+        """
+        worst = self.delay(mediator, consumer) + self.delay(consumer, mediator)
+        for provider in informed:
+            rtt = self.delay(mediator, provider) + self.delay(provider, mediator)
+            if rtt > worst:
+                worst = rtt
+        return worst
 
 
 class ZeroLatency(LatencyModel):
@@ -114,6 +135,23 @@ class UniformLatency(LatencyModel):
         # A degenerate band short-circuits before the stream is touched
         # (see delay()), so it qualifies as deterministic.
         return self.low if self.low == self.high else None
+
+    def worst_round_trip(self, mediator: Entity, consumer: Entity, informed) -> float:
+        # The default's 2 * (|informed| + 1) delay() -> uniform() ->
+        # random() chains as one loop: delay() ignores the pair, so the
+        # same ``low + (high - low) * random()`` values leave the same
+        # stream in the same order.  A degenerate band never touches it.
+        low = self.low
+        if low == self.high:
+            return low + low
+        span = self.high - low
+        random = self._stream._rng.random
+        worst = (low + span * random()) + (low + span * random())
+        for _ in informed:
+            rtt = (low + span * random()) + (low + span * random())
+            if rtt > worst:
+                worst = rtt
+        return worst
 
     def __repr__(self) -> str:
         return f"UniformLatency([{self.low}, {self.high}])"

@@ -288,6 +288,14 @@ class Federation:
         return f"Federation(shards={self.shards}, partition={self.config.partition!r})"
 
 
+def _sum_tallies(tallies) -> Dict[str, int]:
+    total: Dict[str, int] = {}
+    for tally in tallies:
+        for key, count in tally.items():
+            total[key] = total.get(key, 0) + count
+    return total
+
+
 class FederatedMediator(Entity):
     """The consumer-facing front of a federation.
 
@@ -351,6 +359,20 @@ class FederatedMediator(Entity):
     @property
     def forwarded(self) -> int:
         return sum(m.forwarded for m in self.federation.mediators)
+
+    @property
+    def route_counts(self) -> Dict[str, int]:
+        """Fast-engine route counts summed over the shards (empty on
+        the event engine, whose shards take no fast route)."""
+        return _sum_tallies(
+            getattr(m, "route_counts", {}) for m in self.federation.mediators
+        )
+
+    @property
+    def scalar_reasons(self) -> Dict[str, int]:
+        return _sum_tallies(
+            getattr(m, "scalar_reasons", {}) for m in self.federation.mediators
+        )
 
     def __repr__(self) -> str:
         return (

@@ -600,6 +600,14 @@ class _MergedPopulation:
 
 
 class _MergedMediator:
+    """The counters a summary reads, summed over the workers' shards.
+
+    Not ``route_counts``/``scalar_reasons``: the harvest rows do not
+    ship them, so a parallel run's ``RunResult.mediator`` has none.
+    A serial run of the same config reports them, and placement never
+    changes which route a shard's mediations take.
+    """
+
     __slots__ = (
         "mediations",
         "failures",

@@ -57,7 +57,7 @@ from repro.core.engine import FastMediator, FastNetwork
 from repro.core.intentions import PreferenceUtilizationIntentions
 from repro.core.mediator import Mediator
 from repro.core.sbqa import SbQAConfig, SbQAPolicy
-from repro.des.network import FixedLatency, Network
+from repro.des.network import FixedLatency, Network, UniformLatency
 from repro.des.rng import RandomRoot
 from repro.des.scheduler import Simulator
 from repro.system.consumer import Consumer
@@ -77,8 +77,10 @@ from repro.system.registry import SystemRegistry
 #: shard-group execution, slice-max methodology) and
 #: ``speedup.parallel_vs_serial``.  Version 6 removed the
 #: ``seed_baseline`` configuration, ``speedup.{fast,event}_vs_seed`` and
-#: the ``registry`` section.
-BENCH_VERSION = 6
+#: the ``registry`` section.  Version 7 added ``throughput_random_latency``
+#: (the same three configurations at ``U[0.02, 0.08]``) and
+#: ``speedup.columns_vs_scalar``.
+BENCH_VERSION = 7
 
 #: Engines measured by the throughput kernel, in reporting order.
 #: ``fast`` runs the fused structure-of-arrays kernel; ``fast_scalar``
@@ -116,6 +118,7 @@ def build_mediation_system(
     seed: int = 13,
     shards: int = 1,
     consumers: int = 1,
+    random_latency: bool = False,
 ):
     """One consumer, ``n_providers`` volunteers, a mediator.
 
@@ -139,6 +142,11 @@ def build_mediation_system(
     ``(sim, mediator, [consumer, ...])`` instead of a single consumer.
     With the default ``consumers=1`` the build is unchanged
     draw-for-draw.
+
+    ``random_latency`` swaps the fixed 0.05 s one-way delay for the
+    config default ``U[0.02, 0.08]`` (its own named stream): ``fast``
+    then decides on ``select_fast``'s column route and ``fast_scalar``
+    on its object route, both committing one event per delivery.
     """
     if configuration not in CONFIGURATIONS:
         raise ValueError(
@@ -148,10 +156,14 @@ def build_mediation_system(
     fast = configuration != "event"
 
     sim = Simulator()
-    latency = FixedLatency(0.05)
+    root = RandomRoot(seed)
+    latency = (
+        UniformLatency(0.02, 0.08, root.stream("hotpath/latency"))
+        if random_latency
+        else FixedLatency(0.05)
+    )
     network = (FastNetwork if fast else Network)(sim, latency)
     registry = SystemRegistry()
-    root = RandomRoot(seed)
     stream = root.stream("hotpath/prefs")
     shared_model = PreferenceUtilizationIntentions()
     # Draw every provider's attributes in id order first, so the RNG
@@ -677,6 +689,9 @@ def run_bench(
     matrix_repeats = max(1, repeats - 1)
 
     throughput = measure_throughput(mediations=mediations, repeats=repeats)
+    throughput_random = measure_throughput(
+        mediations=mediations, repeats=repeats, random_latency=True
+    )
 
     fast = throughput["fast"]["mediate_per_s"]
     fast_scalar = throughput["fast_scalar"]["mediate_per_s"]
@@ -696,6 +711,9 @@ def run_bench(
             "repeats": repeats,
         },
         "throughput": throughput,
+        # The same three at U[0.02, 0.08]: ``fast`` is select_fast's
+        # column route, ``fast_scalar`` its object route.
+        "throughput_random_latency": throughput_random,
         "speedup": {
             # The engine split alone (both sides share the O(1) windows
             # and the registry snapshots).
@@ -703,6 +721,9 @@ def run_bench(
             # The fused SoA kernel vs the scalar oracle path of the same
             # fast engine: what the kernel is worth.
             "fused_vs_scalar": fast / fast_scalar,
+            # The column route vs the object route under random latency.
+            "columns_vs_scalar": throughput_random["fast"]["mediate_per_s"]
+            / throughput_random["fast_scalar"]["mediate_per_s"],
             # The batched-result-drain claim: how close end-to-end
             # throughput sits to pure mediation throughput.
             "end_to_end_ratio": throughput["fast"]["end_to_end_per_s"] / fast,
@@ -807,18 +828,33 @@ def format_report(record: Dict[str, object]) -> str:
         f"core hot-path bench ({record['mode']}, python {record['python']})",
         "",
     ]
-    throughput = record["throughput"]
-    for configuration in CONFIGURATIONS:
-        row = throughput[configuration]
-        lines.append(
-            f"  {configuration:<14} {row['mediate_per_s']:>10,.0f} mediations/s"
-            f"   ({row['end_to_end_per_s']:>9,.0f}/s end-to-end)"
-        )
+    sections = (
+        (None, record["throughput"]),
+        (
+            "  random latency U[0.02, 0.08] (fast = column route):",
+            record.get("throughput_random_latency"),
+        ),
+    )
+    for heading, rows in sections:
+        if not rows:
+            continue
+        if heading:
+            lines += ["", heading]
+        for configuration in CONFIGURATIONS:
+            row = rows[configuration]
+            lines.append(
+                f"  {configuration:<14} {row['mediate_per_s']:>10,.0f} mediations/s"
+                f"   ({row['end_to_end_per_s']:>9,.0f}/s end-to-end)"
+            )
     speedup = record["speedup"]
     lines += [
         "",
         f"  fast vs event engine:  {speedup['fast_vs_event']:.2f}x",
     ]
+    if "columns_vs_scalar" in speedup:
+        lines.append(
+            f"  columns vs scalar:     {speedup['columns_vs_scalar']:.2f}x  (random latency)"
+        )
     if "fused_vs_scalar" in speedup:
         lines.append(
             f"  fused vs scalar path:  {speedup['fused_vs_scalar']:.2f}x"

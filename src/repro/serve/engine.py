@@ -327,6 +327,12 @@ class ServeEngine:
                     zip(federation.mediators, federation.registries)
                 )
             ]
+        mediator = self.live.mediator
+        routes = getattr(mediator, "route_counts", None)
+        if routes:
+            # fast engine only: which code path mediated, and why not
+            # the column one (execution metadata, never in a digest)
+            routes = {**routes, "scalar_reasons": mediator.scalar_reasons}
         return {
             "policy": self.policy_spec.label,
             "sim_time": self.sim.now,
@@ -350,6 +356,7 @@ class ServeEngine:
             "admission": self.admission.stats.snapshot(),
             "latency": self.metrics.snapshot(),
             **({"shards": shards} if shards is not None else {}),
+            **({"routes": routes} if routes else {}),
         }
 
     def summary_now(self) -> RunSummary:

@@ -592,8 +592,11 @@ class TestScoringBackendParity:
         network = FastNetwork(sim, FixedLatency(0.05))
         registry = SystemRegistry()
         policy = SbQAPolicy(SbQAConfig(), RandomStream(1))
-        assert FastMediator(sim, network, registry, policy)._fused_columns is not None
+        assert FastMediator(sim, network, registry, policy)._fused
         assert scoring.resolve_backend() != "python"
         monkeypatch.setattr(engine, "_FUSED_KERNEL", False)
-        assert FastMediator(sim, network, registry, policy)._fused_columns is None
+        scalar = FastMediator(sim, network, registry, policy)
+        # the hook switches off both column uses: kernel and select_fast's
+        assert not scalar._fused and scalar._column_cache is None
+        assert scalar._scalar_reason == "kernel hook off"
         assert scoring.resolve_backend() == "python"

@@ -1,16 +1,20 @@
 """Unit tests for repro.des.network."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.des.entity import Entity, RecordingEntity
 from repro.des.network import (
     FixedLatency,
+    LatencyModel,
     Message,
     Network,
     UniformLatency,
     ZeroLatency,
 )
 from repro.des.rng import RandomStream
+from repro.des.scheduler import Simulator
 
 
 class TestLatencyModels:
@@ -108,3 +112,67 @@ class TestNetworkDelivery:
         sender.name = "renamed"
         sim.run()
         assert len(sink.inbox) == 1
+
+
+class TestWorstRoundTrip:
+    """``worst_round_trip`` draws what the per-pair ``delay`` loop draws:
+    same floats, same stream, same order -- the stream state is the test."""
+
+    @staticmethod
+    def _parties(n_informed):
+        sim = Simulator()
+        mediator, consumer = Entity(sim, "m"), Entity(sim, "c")
+        informed = [Entity(sim, f"p{i}") for i in range(n_informed)]
+        return mediator, consumer, informed
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        low=st.floats(min_value=0.0, max_value=1.0),
+        width=st.floats(min_value=1e-9, max_value=2.0),
+        n_informed=st.sampled_from([0, 1, 10]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_uniform_override_equals_the_per_pair_loop(self, seed, low, width, n_informed):
+        mediator, consumer, informed = self._parties(n_informed)
+        batched = UniformLatency(low, low + width, RandomStream(seed))
+        looped = UniformLatency(low, low + width, RandomStream(seed))
+        expected = LatencyModel.worst_round_trip(looped, mediator, consumer, informed)
+        assert batched.worst_round_trip(mediator, consumer, informed) == expected
+        assert batched._stream._rng.getstate() == looped._stream._rng.getstate()
+        # and the next draw of the run lands where it would have
+        assert batched.delay(mediator, consumer) == looped.delay(mediator, consumer)
+
+    @pytest.mark.parametrize("n_informed", [0, 1, 10])
+    def test_degenerate_band_and_zero_latency_leave_the_stream_alone(self, n_informed):
+        mediator, consumer, informed = self._parties(n_informed)
+        stream = RandomStream(7)
+        before = stream._rng.getstate()
+        assert UniformLatency(0.2, 0.2, stream).worst_round_trip(
+            mediator, consumer, informed
+        ) == 0.2 + 0.2
+        assert stream._rng.getstate() == before
+        assert ZeroLatency().worst_round_trip(mediator, consumer, informed) == 0.0
+        assert FixedLatency(0.05).worst_round_trip(mediator, consumer, informed) == 0.05 + 0.05
+
+    def test_custom_model_without_the_override_goes_through_delay(self):
+        class PerPair(LatencyModel):
+            """Pair-dependent: a batched draw would be wrong here."""
+
+            def __init__(self):
+                self.calls = []
+
+            def delay(self, sender, recipient):
+                self.calls.append((sender.name, recipient.name))
+                return 0.01 * len(sender.name + recipient.name)
+
+        mediator, consumer, informed = self._parties(2)
+        informed[1].name = "provider-far-away"
+        model = PerPair()
+        worst = model.worst_round_trip(mediator, consumer, informed)
+        assert worst == 2 * 0.01 * len("m" + "provider-far-away")
+        assert model.calls == [
+            ("m", "c"), ("c", "m"),
+            ("m", "p0"), ("p0", "m"),
+            ("m", "provider-far-away"), ("provider-far-away", "m"),
+        ]
+        assert model.constant_delay() is None

@@ -33,14 +33,14 @@ class TestBuildMediationSystem:
             "fast_scalar", n_providers=60, shards=3
         )
         assert all(
-            shard._fused_columns is None
+            not shard._fused and shard._column_cache is None
             for shard in mediator.federation.mediators
         )
         sim, mediator, _ = build_mediation_system(
             "fast", n_providers=60, shards=3
         )
         assert all(
-            shard._fused_columns is not None
+            shard._fused
             for shard in mediator.federation.mediators
         )
 
@@ -69,10 +69,28 @@ class TestRunBenchAxes:
         )
 
     def test_version_and_sections(self, record):
-        assert record["bench_version"] == BENCH_VERSION == 6
+        assert record["bench_version"] == BENCH_VERSION == 7
         assert "federation" in record
         assert "scaling_ratio" in record["speedup"]
         assert set(record["throughput"]) == {"fast", "fast_scalar", "event"}
+        # the same three under U[0.02, 0.08], fast on the column route
+        assert set(record["throughput_random_latency"]) == set(record["throughput"])
+        assert record["speedup"]["columns_vs_scalar"] > 0
+        assert "random latency U[0.02, 0.08]" in format_report(record)
+
+    def test_random_latency_build_takes_the_column_route(self):
+        from repro.system.query import Query
+
+        for configuration, route in (("fast", "columns"), ("fast_scalar", "scalar")):
+            sim, mediator, consumer = build_mediation_system(
+                configuration, n_providers=40, random_latency=True
+            )
+            mediator.mediate(Query(
+                consumer=consumer, topic="c0", service_demand=10.0,
+                n_results=2, issued_at=0.0,
+            ))
+            assert mediator.route_counts[route] == 1
+            assert sum(mediator.route_counts.values()) == 1
 
     def test_parallel_federation_section(self, record):
         section = record["parallel_federation"]
