@@ -155,13 +155,19 @@ class PolicyResult:
             )
         return [float(s.as_dict()[key]) for s in self.summaries]
 
+    def _aggregate(self, statistic) -> Dict[str, float]:
+        rows = [s.as_dict() for s in self.summaries]  # once, not per field
+        return {
+            key: statistic([float(row[key]) for row in rows]) for key in AGGREGATED_FIELDS
+        }
+
     @property
     def means(self) -> Dict[str, float]:
-        return {key: mean(self.values(key)) for key in AGGREGATED_FIELDS}
+        return self._aggregate(mean)
 
     @property
     def stdevs(self) -> Dict[str, float]:
-        return {key: stdev(self.values(key)) for key in AGGREGATED_FIELDS}
+        return self._aggregate(stdev)
 
     def cell(self, key: str, decimals: int = 3) -> str:
         """``mean +- stdev`` rendering of one aggregated field."""

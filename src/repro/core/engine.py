@@ -16,9 +16,10 @@ the event-faithful core while cutting the per-mediation constant:
   ``select_fast`` decision whenever tracing is off (*every* policy has
   one -- the base class delegates to ``select``, and SbQA plus all six
   baselines override it), reads ``P_q`` from the registry's cached
-  capability snapshot (and hands SbQA that snapshot's
-  :class:`~repro.core.soa.ConsultColumns`, whatever the latency model),
-  computes the consultation delay analytically
+  capability snapshot (handing SbQA that snapshot's
+  :class:`~repro.core.soa.ConsultColumns` to decide on, and committing
+  every policy's decision in their rows), computes the consultation
+  delay analytically
   when the latency model is deterministic (every round-trip is ``2c``,
   so the max over pairs is too), and -- when the one-way delay is a
   positive constant -- collapses the ``len(allocated) + 1``
@@ -62,10 +63,11 @@ DEFAULT_ENGINE = "fast"
 #: Private hook for the differential tests and ``repro.perf``: set to
 #: False before constructing a :class:`FastMediator` to run every
 #: mediation through the scalar reference (the object route of
-#: ``select_fast`` + ``_commit``) and compare it with both column
-#: uses -- the fused kernel and ``select_fast``'s column route, which
-#: it switches off together.  Not configuration -- no flag, config
-#: field or environment variable reads or sets it.
+#: ``select_fast`` + :meth:`Mediator._commit`) and compare it with
+#: every column use -- the fused kernel, ``select_fast``'s column route
+#: and the rows commit, which it switches off together.  Not
+#: configuration -- no flag, config field or environment variable reads
+#: or sets it.
 _FUSED_KERNEL = True
 
 
@@ -307,9 +309,7 @@ class FastMediator(Mediator):
 
     * decisions come from the policy's ``select_fast`` whenever
       tracing is off -- *every* policy has one (the base class
-      delegates to ``select``; SbQA and all six baselines override it
-      with batched, slot-based implementations), so there is no
-      SbQA-only fallback branch anymore;
+      delegates to ``select``; SbQA and all six baselines override it);
     * ``P_q`` is the registry's cached
       :meth:`~repro.system.registry.SystemRegistry.capable_snapshot`
       tuple -- no per-mediation list build;
@@ -339,21 +339,24 @@ class FastMediator(Mediator):
     calls.  Three routes, counted in :attr:`route_counts`
     (``traced`` is the fourth count: the faithful base-class pipeline):
 
-    * **fused** -- positive constant latency: ``decide`` + inlined
-      window updates + lazy record + collapsed dispatch;
-    * **columns** -- any other latency: ``select_fast`` (column route)
-      + :meth:`_commit`, one event per delivery, consultation
-      round-trips drawn in order by
-      :meth:`~repro.des.network.LatencyModel.worst_round_trip`;
-    * **scalar** -- ``select_fast`` without columns (its object route
-      for SbQA), for the reason tallied in ``scalar_reasons``.
-    """
+    * **fused** -- SbQA, positive constant latency: ``decide`` + lazy
+      record + collapsed dispatch;
+    * **columns** -- SbQA, any other latency: ``select_fast`` (column
+      route), one event per delivery, consultation round-trips drawn in
+      order by :meth:`~repro.des.network.LatencyModel.worst_round_trip`;
+    * **scalar** -- ``select_fast`` on the provider objects (every
+      baseline; SbQA's object route), for the reason tallied in
+      ``scalar_reasons``.
 
-    #: Shard ordinal when this mediator is one shard of a federation
-    #: (see :mod:`repro.federation`); 0 standalone.  Part of the
-    #: column-cache key so per-shard column state stays disjoint even
-    #: if shard mediators ever share a cache.
-    shard_ordinal = 0
+    The commit is policy-independent, counted in :attr:`commit_counts`:
+    **rows** -- :meth:`~repro.core.soa.ConsultColumns.commit`, for all
+    three routes; **objects** -- the reference :meth:`Mediator._commit`,
+    for what the columns cannot see: a user-defined intention model in
+    ``P_q``, a decision that brings its own intentions, an informed
+    provider outside the snapshot, the ``_FUSED_KERNEL`` hook.  (A
+    shard's forwarded mediations and traced ones commit on objects too,
+    counted in ``forwarded`` and ``route_counts["traced"]`` only.)
+    """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -362,37 +365,40 @@ class FastMediator(Mediator):
         # One reusable context for the hot loop (consumed synchronously
         # by exactly one select per mediation; .now and .columns change).
         self._ctx = AllocationContext(now=0.0, trace=NULL_RECORDER)
-        # The structure-of-arrays decision stage (see repro.core.soa)
-        # is the default: columns are cached whenever the policy is
-        # exactly SbQAPolicy with a built-in omega -- whatever the
-        # latency model.  Model support is decided per (snapshot,
-        # consumer, topic) when the columns are built; unsupported
-        # mixes fall back per query.  What the latency model decides is
-        # only how the decision is committed: the fused kernel's
-        # collapsed dispatch needs a positive constant one-way delay.
-        self._column_cache: Optional[dict] = None
-        if not fused_policy_supported(self.policy):
-            self._scalar_reason = "policy not column-encodable"
-        elif not _FUSED_KERNEL:
+        # Structure-of-arrays state (see repro.core.soa): columns are
+        # cached per (consumer, topic) -- this mediator's, so per shard
+        # in a federation -- for every policy, whatever the latency
+        # model, and every policy *commits* on them.  Model support is
+        # decided when they are built; unsupported mixes fall back per
+        # query.  Only exactly SbQAPolicy with a built-in omega also
+        # *decides* on them; the latency model only decides how that
+        # decision is sent out (the fused kernel's collapsed dispatch
+        # needs a positive constant one-way delay).
+        self._column_cache: Optional[dict] = {} if _FUSED_KERNEL else None
+        self._decides_on_columns = _FUSED_KERNEL and fused_policy_supported(self.policy)
+        if not _FUSED_KERNEL:
             self._scalar_reason = "kernel hook off"
-        else:
+        elif self._decides_on_columns:
             self._scalar_reason = "unsupported intention models"
-            self._column_cache = {}
+        else:
+            self._scalar_reason = "policy not column-encodable"
         c = self._constant_one_way
-        self._fused = self._column_cache is not None and c is not None and c > 0.0
+        self._fused = self._decides_on_columns and c is not None and c > 0.0
         #: Mediations by route -- execution metadata like ``engine``,
         #: never part of a result dict or digest.  Mediations that
         #: found ``P_q`` empty, and a shard's forwarded ones (counted in
         #: ``forwarded``), took none of these routes.
         self.route_counts = {"fused": 0, "columns": 0, "scalar": 0, "traced": 0}
+        #: Mediations by commit stage; execution metadata likewise.
+        self.commit_counts = {"rows": 0, "objects": 0}
 
     @property
     def scalar_reasons(self) -> dict:
         """Why the scalar-route mediations were scalar: reason -> count.
 
         Derived: one mediator has exactly one possible reason (fixed at
-        construction without a column cache, the per-query model check
-        with one).
+        construction for the hook and for policies that decide on
+        objects, the per-query model check for SbQA).
         """
         scalar = self.route_counts["scalar"]
         return {self._scalar_reason: scalar} if scalar else {}
@@ -402,15 +408,11 @@ class FastMediator(Mediator):
             self.route_counts["traced"] += 1
             return super().mediate(query)
         self.mediations += 1
-        if self._column_cache is None:
-            candidates = self.registry.capable_snapshot(query.topic)
-            cols = None
-        else:
-            meta = self.registry.snapshot_meta(query.topic)
-            candidates = meta.snapshot
-            cols = self._columns_for(query, meta) if candidates else None
+        meta = self.registry.snapshot_meta(query.topic)
+        candidates = meta.snapshot
         if not candidates:
             return self._fail(query)
+        cols = self._columns_for(query, meta)
         if cols is not None and self._fused:
             return self._mediate_fused(query, cols)
         return self._select_and_commit(query, candidates, cols)
@@ -420,25 +422,25 @@ class FastMediator(Mediator):
     # faithful policy.select that the base hook already provides.
 
     def _columns_for(self, query, meta) -> Optional[ConsultColumns]:
-        """Refreshed columns of ``(shard, consumer, topic)``, or None.
+        """Refreshed columns of ``(consumer, topic)``, or None.
 
         Cached against the snapshot's identity: a membership/online
         transition hands out a new tuple, and the columns are rebuilt.
         None means the model mix is outside the column encoding (custom
-        intention models) and the query takes the scalar route.
+        intention models): the query is decided and committed on objects.
         """
         cache = self._column_cache
+        if cache is None:
+            return None  # the _FUSED_KERNEL hook is off
         consumer = query.consumer
         topic = query.topic
         snapshot = meta.snapshot
-        key = (self.shard_ordinal, consumer.participant_id, topic)
+        key = (consumer.participant_id, topic)
         cols = cache.get(key)
         if cols is None or cols.snapshot is not snapshot:
             if cols is not None:
                 cols.detach()
-            cols = ConsultColumns.build(
-                snapshot, meta, consumer, topic, shard=self.shard_ordinal
-            )
+            cols = ConsultColumns.build(snapshot, meta, consumer, topic)
             cache[key] = cols
         if not cols.supported:
             return None
@@ -447,11 +449,12 @@ class FastMediator(Mediator):
         return cols
 
     def _select_and_commit(self, query, candidates, cols) -> AllocationRecord:
-        """``select_fast`` (column route when ``cols``) + :meth:`_commit`."""
-        self.route_counts["scalar" if cols is None else "columns"] += 1
+        """``select_fast``, then the rows commit when ``cols`` can take it."""
+        on_columns = cols is not None and self._decides_on_columns
+        self.route_counts["columns" if on_columns else "scalar"] += 1
         ctx = self._ctx
-        ctx.now = self.sim._now
-        ctx.columns = cols
+        ctx.now = now = self.sim._now
+        ctx.columns = cols if on_columns else None
         decision = self._fast_select(query, candidates, ctx)
         # Columns describe *this* snapshot only; other users of the
         # shared context (a shard's forwarded select over a merged
@@ -459,210 +462,44 @@ class FastMediator(Mediator):
         ctx.columns = None
         if not decision.allocated:
             return self._fail(query)
+        record = None if cols is None else cols.record_for(query, now, decision)
+        if record is not None:
+            return self._commit_rows(cols, record, decision.consult_messages)
+        self.commit_counts["objects"] += 1
         return self._commit(query, candidates, decision)
 
     def _mediate_fused(self, query, cols: ConsultColumns) -> AllocationRecord:
-        """One mediation through the fused SoA kernel.
-
-        The decision is :meth:`ConsultColumns.decide
-        <repro.core.soa.ConsultColumns.decide>` (shared with
-        ``select_fast``'s column route); what is fused *here* is the
-        commit: both satisfaction windows updated inline, a lazy
-        record, the analytic ``2c`` consultation delay and the
-        collapsed dispatch.  Every float is produced by the same
-        expression shapes in the same order as the select_fast/_commit
-        path, so allocations, windows and digests are bit-identical
-        (asserted by the differential oracle in ``tests/oracle/``).
+        """One mediation through the fused SoA kernel: the decision and
+        the commit are the shared :class:`~repro.core.soa.ConsultColumns`
+        stages; fused *here* are the missing ``select_fast`` call, the
+        analytic ``2c`` consultation delay and the collapsed dispatch.
         """
         self.route_counts["fused"] += 1
-        snapshot = cols.snapshot
-        consumer = query.consumer
         now = self.sim._now
         consulted, ranked = cols.decide(self.policy, query, now)
-        nw = len(consulted)
-        n_results = query.n_results
-        take = n_results if n_results < nw else nw
-        top = ranked[:take]
-        allocated = [snapshot[row[2]] for row in top]
+        record = LazyAllocationRecord(query, now, cols, consulted, ranked)
+        return self._commit_rows(cols, record, 2 * len(consulted) + 2)
 
-        # -- Equation 1 over the performer set (decision order) --------
-        total = 0.0
-        for row in top:
-            total += (row[4] + 1.0) / 2.0
-        satisfaction = total / n_results
-        if satisfaction > 1.0:
-            satisfaction = 1.0
-
-        # -- Definition-2 windows (record_proposal inlined).  Walked in
-        #    ranking order, where "performed" is a position test; each
-        #    provider owns its tracker, so the order _commit walks
-        #    decision.informed in leaves the same state. ---------------
-        trackers = cols.trackers
-        for i, row in enumerate(ranked):
-            tracker = trackers[row[2]]
-            proposals = tracker._proposals
-            if len(proposals) == tracker.memory:
-                evicted = proposals[0]
-                if evicted[1]:
-                    tracker._performed_in_window -= 1
-                    tracker._performed_unit_sum -= (evicted[0] + 1.0) / 2.0
-                tracker._evictions_since_rebuild += 1
-            performed = i < take
-            pi = row[3]
-            proposals.append((pi, performed))
-            tracker.total_proposed += 1
-            if performed:
-                tracker.total_performed += 1
-                tracker._performed_in_window += 1
-                tracker._performed_unit_sum += (pi + 1.0) / 2.0
-            if tracker._evictions_since_rebuild >= tracker.memory:
-                tracker._rebuild_sums()
-
-        # -- adequation over the configured pool -----------------------
-        if self.adequation_over_candidates:
-            pool_ci = sorted(cols.ci, reverse=True)
-        else:
-            pool_ci = sorted((row[4] for row in ranked), reverse=True)
-        total = 0.0
-        for ci in pool_ci[:n_results]:
-            total += (ci + 1.0) / 2.0
-        adequation_value = total / n_results
-        if adequation_value > 1.0:
-            adequation_value = 1.0
-
-        # -- Definition-1 window (record_query inlined) ----------------
-        ct = consumer.tracker
-        satisfactions = ct._satisfactions
-        if len(satisfactions) == ct.memory:
-            evicted_sat = satisfactions[0]
-            evicted_adq = ct._adequations[0]
-            ct._sat_sum -= evicted_sat
-            ct._adq_sum -= evicted_adq
-            if evicted_adq == 0.0:
-                ratio = 1.0
-            else:
-                ratio = evicted_sat / evicted_adq
-                if ratio > 1.0:
-                    ratio = 1.0
-            ct._ratio_sum -= ratio
-            ct._evictions_since_rebuild += 1
-        satisfactions.append(satisfaction)
-        ct._adequations.append(adequation_value)
-        ct._sat_sum += satisfaction
-        ct._adq_sum += adequation_value
-        if adequation_value == 0.0:
-            ratio = 1.0
-        else:
-            ratio = satisfaction / adequation_value
-            if ratio > 1.0:
-                ratio = 1.0
-        ct._ratio_sum += ratio
-        ct.total_recorded += 1
-        if ct._evictions_since_rebuild >= ct.memory:
-            ct._rebuild_sums()
-
-        # -- consultation cost + collapsed dispatch --------------------
-        c = self._constant_one_way
-        consult_delay = c + c
-        self.coordination_messages += (2 * nw + 2) + nw
-
-        record = LazyAllocationRecord(
-            query,
-            now,
-            allocated,
-            adequation_value,
-            consult_delay,
-            ranked,
-            [row[2] for row in consulted],
-            cols.pids,
-            snapshot,
-        )
-        query.status = QueryStatus.ALLOCATED
-        collapsed = _CollapsedDispatch(self.network, record, consumer, c)
-        self.sim.post_in(consult_delay, collapsed.dispatch)
-        if self.keep_records:
-            self.records.append(record)
-        if self.observer is not None:
-            self.observer.record_mediation(record)
-        return record
-
-    def _commit(self, query, candidates, decision) -> AllocationRecord:
-        if self.trace.enabled:
-            return super()._commit(query, candidates, decision)
+    def _commit_rows(self, cols: ConsultColumns, record, consult_messages: int):
+        """:meth:`Mediator._commit` for a record in ``cols``' rows (never a
+        forwarded mediation, so the consultation is the plain one)."""
+        self.commit_counts["rows"] += 1
+        query = record.query
         consumer = query.consumer
-        allocated = decision.allocated
-        informed = decision.informed
-
-        # -- provider-side bookkeeping (Definition 2 windows) -----------
-        # The decision's intention dicts are adopted (and completed in
-        # place) rather than copied: a decision is consumed exactly once
-        # and the record owns the dicts afterwards, so the copy in the
-        # event-faithful _commit buys nothing here.  Membership is
-        # tested on the provider objects themselves (allocated holds the
-        # same objects as informed, and |allocated| <= n is tiny).
-        provider_intentions = decision.provider_intentions
-        for provider in informed:
-            pid = provider.participant_id
-            intention = provider_intentions.get(pid)
-            if intention is None:
-                intention = provider.intention_for(query)
-                provider_intentions[pid] = intention
-            provider.tracker.record_proposal(intention, provider in allocated)
-
-        # -- consumer-side bookkeeping (Equation 1 / Definition 1) ------
-        # Inlined consumer_query_satisfaction / adequation: same
-        # (i + 1) / 2 unit mapping summed in the same (decision) order,
-        # same min(1, total / n) clamp, so the floats are identical.
-        consumer_intentions = decision.consumer_intentions
-        n_results = query.n_results
-        total = 0.0
-        for provider in allocated:
-            pid = provider.participant_id
-            intention = consumer_intentions.get(pid)
-            if intention is None:
-                intention = consumer.intention_for(query, provider)
-                consumer_intentions[pid] = intention
-            total += (intention + 1.0) / 2.0
-        satisfaction = total / n_results
-        if satisfaction > 1.0:
-            satisfaction = 1.0
-
-        adequation_pool = candidates if self.adequation_over_candidates else informed
-        pool_intentions = []
-        for p in adequation_pool:
-            pid = p.participant_id
-            intention = consumer_intentions.get(pid)
-            if intention is None:
-                intention = consumer.intention_for(query, p)
-            pool_intentions.append(intention)
-        pool_intentions.sort(reverse=True)
-        total = 0.0
-        for intention in pool_intentions[:n_results]:
-            total += (intention + 1.0) / 2.0
-        adequation_value = total / n_results
-        if adequation_value > 1.0:
-            adequation_value = 1.0
-        consumer.record_query_satisfaction(satisfaction, adequation=adequation_value)
-
-        # -- consultation cost ------------------------------------------
+        slots = record.slots
+        record.adequation = cols.commit(
+            slots, record.pis, record.performed, query.n_results, self.adequation_over_candidates
+        )[1]
         consult_delay = 0.0
         if self.policy.consults_participants:
-            consult_delay = self._consultation_delay(consumer, informed)
-            self.coordination_messages += decision.consult_messages
-        self.coordination_messages += len(informed)
-
-        record = AllocationRecord(
-            query=query,
-            decided_at=self.now,
-            allocated=allocated,
-            informed=informed,
-            consumer_intentions=consumer_intentions,
-            provider_intentions=provider_intentions,
-            scores=decision.scores,
-            omegas=decision.omegas,
-            adequation=adequation_value,
-            consultation_delay=consult_delay,
-        )
+            c = self._constant_one_way
+            if c is not None:
+                consult_delay = c + c
+            else:
+                consult_delay = self._consultation_delay(consumer, record.informed)
+            record.consultation_delay = consult_delay
+            self.coordination_messages += consult_messages
+        self.coordination_messages += len(slots)
         query.status = QueryStatus.ALLOCATED
         self._dispatch_record(record, consumer, consult_delay)
         self._store(record)

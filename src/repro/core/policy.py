@@ -37,7 +37,7 @@ class AllocationContext:
     #: The candidates' :class:`~repro.core.soa.ConsultColumns` for this
     #: (consumer, topic), refreshed, when the fast engine has them;
     #: None on the event engine, under tracing, for model mixes the
-    #: columns cannot encode and for policies they do not serve.
+    #: columns cannot encode and for policies that do not decide on them.
     columns: Optional[object] = None
 
 
@@ -74,7 +74,8 @@ class FastAllocationDecision:
     ``__post_init__`` validation -- producers (``select_fast``
     implementations) guarantee the allocated-subset-of-informed
     invariant by construction, and the fast mediator consumes the
-    decision exactly once.  Anything written against
+    decision exactly once (committing it in snapshot rows when it
+    brings no intentions or scores of its own).  Anything written against
     :class:`AllocationDecision`'s attributes works on either.
     """
 
@@ -105,8 +106,7 @@ class FastAllocationDecision:
         # consumed exactly once and the record stores both fields
         # read-only, so the alias is safe -- but code that mutates
         # record.allocated in place would corrupt record.informed too;
-        # copy before mutating.  Every mapping default is a *fresh*
-        # dict (the fast mediator adopts and completes these in place).
+        # copy before mutating.  Every mapping default is a *fresh* dict.
         self.allocated = allocated
         self.informed = allocated if informed is None else informed
         self.consumer_intentions = (

@@ -204,29 +204,16 @@ class SbQAPolicy(AllocationPolicy):
         are bit-identical.
 
         When the mediator hands over the snapshot's columns
-        (``ctx.columns``) the decision comes from
-        :meth:`~repro.core.soa.ConsultColumns.decide` -- the same
-        arithmetic in snapshot ordinals, shared with the fused kernel
-        -- and only the decision object is built here.  The object
-        route below remains for model mixes the columns cannot encode,
-        and as the differential oracle the columns are tested against.
+        (``ctx.columns``) the decision is
+        :meth:`~repro.core.soa.ConsultColumns.decision` -- the same
+        arithmetic in snapshot ordinals, shared with the fused kernel,
+        its maps built only if someone reads them.  The object route
+        below remains for model mixes the columns cannot encode, and as
+        the differential oracle the columns are tested against.
         """
         cols = ctx.columns
         if cols is not None:
-            rows, ranked = cols.decide(self, query, ctx.now)
-            pids = cols.pids
-            take = allocation_count(query, len(rows))
-            return FastAllocationDecision(
-                allocated=[candidates[row[2]] for row in ranked[:take]],
-                informed=[candidates[row[2]] for row in rows],
-                consumer_intentions={pids[row[2]]: row[4] for row in rows},
-                provider_intentions={pids[row[2]]: row[3] for row in rows},
-                # IEEE negation is exact: -(-score) is the score.
-                scores={pids[row[2]]: -row[0] for row in ranked},
-                omegas={pids[row[2]]: row[5] for row in rows},
-                consult_messages=2 * len(rows) + 2,
-                metadata={"k_effective": min(self.selector.k, len(candidates))},
-            )
+            return cols.decision(self, query, ctx.now)
 
         consumer = query.consumer
         k_effective, working, loads = self.selector.sample_working(candidates)

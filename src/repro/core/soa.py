@@ -1,17 +1,18 @@
-"""Structure-of-arrays consultation state and the fast engine's decision stage.
+"""Structure-of-arrays consultation state: the fast engine's decision and commit.
 
-The fast engine decides in *snapshot ordinals*: every provider of one
+The fast engine works in *snapshot ordinals*: every provider of one
 registry capability snapshot is addressed by its slot ``s`` in the
-snapshot tuple, and everything the per-query consultation needs --
-static preference bases, blend weights, saturation horizons, tracker
+snapshot tuple, and everything a mediation reads or writes per provider
+-- static preference bases, blend weights, saturation horizons, tracker
 references, the consumer's intention towards each provider -- lives in
-preallocated parallel columns indexed by ``s``.  This module owns those
-columns, the decision stage that reads them
-(:meth:`ConsultColumns.decide`: KnBest, Equation 2, Definition 3, rank
--- called by the fused kernel :meth:`repro.core.engine.FastMediator.
-_mediate_fused` under constant latency and by the column route of
-:meth:`repro.core.sbqa.SbQAPolicy.select_fast` under any other), and
-the lazily-materialised allocation record the fused kernel emits.
+preallocated, policy-independent parallel columns indexed by ``s``.
+This module owns those columns and the two stages that run on them --
+the decision :meth:`ConsultColumns.decide` (KnBest, Equation 2,
+Definition 3, rank), which is SbQA's alone, and the commit
+:meth:`ConsultColumns.commit` (Definition 1/2 windows, Equation 1,
+adequation), which serves every policy's decision whose informed
+providers are slots of the snapshot -- plus the allocation records
+whose per-provider maps materialise lazily from the rows.
 
 Ownership and invariants
 ------------------------
@@ -66,15 +67,16 @@ math fall back to the scalar oracle path automatically):
   refreshing.
 
 Any other combination makes :meth:`ConsultColumns.build` return an
-:class:`UnsupportedColumns` marker and the engine hands ``select_fast``
-no columns for that query: its object route decides -- same decisions,
-same digests, just without the columns' constant-factor savings -- and
-the mediator counts the query under ``scalar_reasons``.
+:class:`UnsupportedColumns` marker and that query is decided and
+committed on the provider objects -- same decisions, same digests,
+just without the columns' constant-factor savings -- and the mediator
+counts it under ``scalar_reasons`` and ``commit_counts["objects"]``.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from operator import is_
 from typing import TYPE_CHECKING, Dict, List
 
 from repro.core.intentions import (
@@ -154,7 +156,6 @@ class ConsultColumns:
     __slots__ = (
         "snapshot",
         "consumer",
-        "shard",
         "pids",
         "slot_of",
         "ranks",
@@ -180,15 +181,9 @@ class ConsultColumns:
         dynamic_ci: bool,
         pp: List[float],
         betas: List[float],
-        shard: int = 0,
     ) -> None:
         self.snapshot = snapshot
         self.consumer = consumer
-        #: Shard ordinal of the owning mediator (0 outside a
-        #: federation).  Columns are per-shard state: each shard's
-        #: registry produces its own snapshot tuples, and the ordinal
-        #: keeps the engine's column cache keys disjoint across shards.
-        self.shard = shard
         self.pids = meta.pids
         self.slot_of = meta.slot_of
         self.ranks = meta.ranks
@@ -197,29 +192,17 @@ class ConsultColumns:
         self.horizons = [p.saturation_horizon for p in snapshot]
         self.trackers = [p.tracker for p in snapshot]
         self._dynamic_ci = dynamic_ci
-        if dynamic_ci:
-            model = consumer.intention_model
-            self._alpha = model.alpha
-            self._alpha_w = 1.0 - model.alpha
-            self._rt_ref = consumer.rt_reference
-        else:
-            self._alpha = 0.0
-            self._alpha_w = 1.0
-            self._rt_ref = consumer.rt_reference
+        alpha = consumer.intention_model.alpha if dynamic_ci else 0.0
+        self._alpha = alpha
+        self._alpha_w = 1.0 - alpha
+        self._rt_ref = consumer.rt_reference
         self.ci = [self._ci(pid) for pid in self.pids]
         self.dirty: set = set()
         if dynamic_ci:
             consumer._intention_sinks.append(self.dirty)
 
     @classmethod
-    def build(
-        cls,
-        snapshot,
-        meta: "SnapshotMeta",
-        consumer: "Consumer",
-        topic: str,
-        shard: int = 0,
-    ):
+    def build(cls, snapshot, meta: "SnapshotMeta", consumer: "Consumer", topic: str):
         """Columns for the triple, or :class:`UnsupportedColumns`.
 
         Provider support is per provider (mixed populations where every
@@ -258,7 +241,7 @@ class ConsultColumns:
                 preference = provider.default_preference
             pp.append(preference_weight * preference)
             betas.append(beta)
-        return cls(snapshot, meta, consumer, dynamic_ci, pp, betas, shard=shard)
+        return cls(snapshot, meta, consumer, dynamic_ci, pp, betas)
 
     def _ci(self, pid: str) -> float:
         """CI_q[p] for one provider, matching the model's arithmetic.
@@ -399,6 +382,166 @@ class ConsultColumns:
             consult((-score, rank, s, pi, ci, omega))
         return consulted, sorted(consulted)
 
+    def decision(self, policy: SbQAPolicy, query, now: float) -> "DecidedAllocationRecord":
+        """:meth:`decide` as ``select_fast``'s column route returns it."""
+        consulted, ranked = self.decide(policy, query, now)
+        decision = DecidedAllocationRecord(query, now, self, consulted, ranked)
+        decision.consult_messages = 2 * len(consulted) + 2
+        decision.metadata = {"k_effective": min(policy.selector.k, len(self.snapshot))}
+        return decision
+
+    def record_for(self, query, now: float, decision):
+        """``decision`` as a record in rows, ready for :meth:`commit`.
+
+        None when rows cannot express it: it brings intentions or
+        scores of its own (which the object commit honours), or informs
+        a provider that is not a slot of this snapshot.
+        """
+        if isinstance(decision, DecidedAllocationRecord):
+            return decision  # select_fast's column route
+        if (
+            decision.provider_intentions
+            or decision.consumer_intentions
+            or decision.scores
+            or decision.omegas
+        ):
+            return None
+        informed = decision.informed
+        slots = self.slots_of(informed)
+        performed = slots if decision.allocated is informed else self.slots_of(decision.allocated)
+        if slots is None or performed is None:
+            return None
+        return RowsAllocationRecord(query, now, self, slots, self.intentions(slots, now), performed)
+
+    def slots_of(self, providers):
+        """Snapshot ordinals of ``providers`` (None if one is outside)."""
+        snapshot = self.snapshot
+        if len(providers) == len(snapshot) and all(map(is_, providers, snapshot)):
+            return range(len(snapshot))  # the decision informs P_q itself
+        slot_of = self.slot_of
+        slots = []
+        for provider in providers:
+            s = slot_of.get(provider.participant_id)
+            if s is None or snapshot[s] is not provider:
+                return None
+            slots.append(s)
+        return slots
+
+    def intentions(self, slots, now: float) -> List[float]:
+        """``PI_q[p]`` of each slot at ``now``, for decisions that did not
+        consult them (the exact expression shapes :meth:`decide` uses)."""
+        snapshot = self.snapshot
+        horizons = self.horizons
+        pp = self.pp
+        betas = self.betas
+        pis = []
+        append = pis.append
+        for s in slots:
+            backlog = snapshot[s]._busy_until - now
+            if backlog < 0.0:
+                backlog = 0.0
+            u = backlog / horizons[s]
+            if u > 1.0:
+                u = 1.0
+            pi = pp[s] + betas[s] * (1.0 - 2.0 * u)
+            if pi > 1.0:
+                pi = 1.0
+            elif pi < -1.0:
+                pi = -1.0
+            append(pi)
+        return pis
+
+    def commit(self, slots, pis, performed, n_results: int, over_candidates: bool = False):
+        """One mediation's satisfaction bookkeeping: ``(satisfaction, adequation)``.
+
+        The one place the fast engine's window arithmetic lives.
+        ``slots`` are the informed ordinals, ``pis`` their ``PI_q[p]``
+        (the decision's, or :meth:`intentions`), ``performed`` the
+        allocated ordinals in decision order; Equation 1 and the
+        adequation (over the informed set, or all of ``P_q`` when
+        ``over_candidates``) read the refreshed ``ci`` column.
+        ``record_proposal`` / ``record_query`` are inlined, not called:
+        same expression shapes in the same order, so the trackers end
+        float for float where :meth:`Mediator._commit
+        <repro.core.mediator.Mediator._commit>` leaves them (asserted by
+        ``tests/oracle/test_rows_commit_oracle.py``).
+        """
+        # -- Definition-2 windows.  Each provider owns its tracker, so
+        #    the order slots are walked in does not matter. -------------
+        trackers = self.trackers
+        chosen = frozenset(performed)
+        for s, pi in zip(slots, pis):
+            tracker = trackers[s]
+            proposals = tracker._proposals
+            if len(proposals) == tracker.memory:
+                evicted = proposals[0]
+                if evicted[1]:
+                    tracker._performed_in_window -= 1
+                    tracker._performed_unit_sum -= (evicted[0] + 1.0) / 2.0
+                tracker._evictions_since_rebuild += 1
+            performs = s in chosen
+            proposals.append((pi, performs))
+            tracker.total_proposed += 1
+            if performs:
+                tracker.total_performed += 1
+                tracker._performed_in_window += 1
+                tracker._performed_unit_sum += (pi + 1.0) / 2.0
+            if tracker._evictions_since_rebuild >= tracker.memory:
+                tracker._rebuild_sums()
+
+        # -- Equation 1 over the performers, in decision order ----------
+        ci = self.ci
+        total = 0.0
+        for s in performed:
+            total += (ci[s] + 1.0) / 2.0
+        satisfaction = total / n_results
+        if satisfaction > 1.0:
+            satisfaction = 1.0
+
+        # -- adequation over the configured pool ------------------------
+        if over_candidates:
+            pool = sorted(ci, reverse=True)
+        else:
+            pool = sorted([ci[s] for s in slots], reverse=True)
+        total = 0.0
+        for intention in pool[:n_results]:
+            total += (intention + 1.0) / 2.0
+        adequation = total / n_results
+        if adequation > 1.0:
+            adequation = 1.0
+
+        # -- Definition-1 window ----------------------------------------
+        ct = self.consumer.tracker
+        satisfactions = ct._satisfactions
+        if len(satisfactions) == ct.memory:
+            evicted_sat = satisfactions[0]
+            evicted_adq = ct._adequations[0]
+            ct._sat_sum -= evicted_sat
+            ct._adq_sum -= evicted_adq
+            if evicted_adq == 0.0:
+                ratio = 1.0
+            else:
+                ratio = evicted_sat / evicted_adq
+                if ratio > 1.0:
+                    ratio = 1.0
+            ct._ratio_sum -= ratio
+            ct._evictions_since_rebuild += 1
+        satisfactions.append(satisfaction)
+        ct._adequations.append(adequation)
+        ct._sat_sum += satisfaction
+        ct._adq_sum += adequation
+        if adequation == 0.0:
+            ratio = 1.0
+        else:
+            ratio = satisfaction / adequation
+            if ratio > 1.0:
+                ratio = 1.0
+        ct._ratio_sum += ratio
+        ct.total_recorded += 1
+        if ct._evictions_since_rebuild >= ct.memory:
+            ct._rebuild_sums()
+        return satisfaction, adequation
+
     def detach(self) -> None:
         """Unhook the dirty set from the consumer (columns retired)."""
         if self._dynamic_ci:
@@ -411,79 +554,104 @@ class ConsultColumns:
     def __repr__(self) -> str:
         return (
             f"ConsultColumns(consumer={self.consumer.participant_id!r}, "
-            f"shard={self.shard}, slots={len(self.pids)}, "
-            f"dynamic_ci={self._dynamic_ci})"
+            f"slots={len(self.pids)}, dynamic_ci={self._dynamic_ci})"
         )
 
 
-class LazyAllocationRecord(AllocationRecord):
-    """An :class:`AllocationRecord` whose consultation maps materialise
-    on first access.
+class RowsAllocationRecord(AllocationRecord):
+    """An :class:`AllocationRecord` in snapshot ordinals, made *before*
+    its commit (the engine fills in ``adequation`` and
+    ``consultation_delay``) and whose per-provider maps materialise on
+    first access -- the summary layer only ever reads scalar fields and
+    the allocated list -- in the insertion order the policies and
+    :meth:`~repro.core.mediator.Mediator._commit` build them in.
 
-    The fused kernel keeps its whole ranking as rows of
-    ``(-score, rank, s, pi, ci, omega)``; the summary layer only ever
-    reads scalar record fields (adequation, consultation delay, the
-    allocated list), so the five per-provider dicts of the faithful
-    record are built lazily from the rows -- and in the *same insertion
-    order* as ``SbQAPolicy.select_fast`` builds them (intentions and
-    omegas in working-set order, scores in ranking order), so code
-    iterating the maps observes identical ordering on either path.
+    This is the record of a decision made on provider objects: the
+    informed ``slots`` with the ``pis`` :meth:`ConsultColumns.intentions`
+    computed for them, and ``CI_q[p]`` asked of the ``performed`` slots
+    only -- captured here because the ``ci`` column moves on.
     """
 
-    def __init__(
-        self,
-        query,
-        decided_at: float,
-        allocated: List["Provider"],
-        adequation: float,
-        consultation_delay: float,
-        rows: List[tuple],
-        informed_ordinals: List[int],
-        pids: List[str],
-        providers,
-    ) -> None:
+    def __init__(self, query, decided_at: float, cols: ConsultColumns, slots, pis, performed):
+        self._open(query, decided_at, cols, performed)
+        ci = cols.ci
+        self.slots = slots
+        self.pis = pis
+        self.performed = performed
+        self._cis = [ci[s] for s in performed]
+        self.scores = {}
+        self.omegas = {}
+
+    def _open(self, query, decided_at: float, cols: ConsultColumns, performed) -> None:
+        snapshot = cols.snapshot
         self.query = query
         self.decided_at = decided_at
-        self.allocated = allocated
-        self.adequation = adequation
-        self.consultation_delay = consultation_delay
+        self.allocated = [snapshot[s] for s in performed]
+        self.adequation = None
+        self.consultation_delay = 0.0
         self.results = []
         self.completed_at = None
-        self._rows = rows
-        self._informed_ordinals = informed_ordinals
-        self._pids = pids
-        self._providers = providers
-
-    @cached_property
-    def _row_of(self) -> Dict[int, tuple]:
-        return {row[2]: row for row in self._rows}
+        self._pids = cols.pids
+        self._providers = snapshot
 
     @cached_property
     def informed(self) -> List["Provider"]:
         providers = self._providers
-        return [providers[s] for s in self._informed_ordinals]
+        return [providers[s] for s in self.slots]
 
     @cached_property
     def consumer_intentions(self) -> Dict[str, float]:
         pids = self._pids
-        row_of = self._row_of
-        return {pids[s]: row_of[s][4] for s in self._informed_ordinals}
+        return {pids[s]: ci for s, ci in zip(self.performed, self._cis)}
 
     @cached_property
     def provider_intentions(self) -> Dict[str, float]:
         pids = self._pids
-        row_of = self._row_of
-        return {pids[s]: row_of[s][3] for s in self._informed_ordinals}
+        return {pids[s]: pi for s, pi in zip(self.slots, self.pis)}
+
+
+class DecidedAllocationRecord(RowsAllocationRecord):
+    """The record of one :meth:`ConsultColumns.decide`, kept as its two
+    row lists plus ``performed`` (the ``min(n, |Kn|)`` best ranked);
+    ``slots`` and ``pis`` are views of the rows, read once by the
+    commit.  Intentions and omegas read in working-set order, scores in
+    ranking order.  It is also what ``select_fast``'s column route
+    returns: until committed it reads as the ``AllocationDecision`` it
+    records.
+    """
+
+    def __init__(self, query, decided_at: float, cols: ConsultColumns, consulted, ranked):
+        self.performed = performed = [row[2] for row in ranked[: query.n_results]]
+        self._open(query, decided_at, cols, performed)
+        self._consulted = consulted
+        self._ranked = ranked
+
+    @property
+    def slots(self) -> List[int]:
+        return [row[2] for row in self._consulted]
+
+    @property
+    def pis(self) -> List[float]:
+        return [row[3] for row in self._consulted]
+
+    @cached_property
+    def consumer_intentions(self) -> Dict[str, float]:
+        pids = self._pids
+        return {pids[row[2]]: row[4] for row in self._consulted}
 
     @cached_property
     def scores(self) -> Dict[str, float]:
         # IEEE negation is exact, so -(-score) restores the kernel's
         # score bit for bit.
         pids = self._pids
-        return {pids[row[2]]: -row[0] for row in self._rows}
+        return {pids[row[2]]: -row[0] for row in self._ranked}
 
     @cached_property
     def omegas(self) -> Dict[str, float]:
         pids = self._pids
-        row_of = self._row_of
-        return {pids[s]: row_of[s][5] for s in self._informed_ordinals}
+        return {pids[row[2]]: row[5] for row in self._consulted}
+
+
+class LazyAllocationRecord(DecidedAllocationRecord):
+    """The fused kernel's records.  ``bench/tracer.py`` tells the fused
+    route by this exact type, so nothing else may return it."""

@@ -288,7 +288,7 @@ class Federation:
         return f"Federation(shards={self.shards}, partition={self.config.partition!r})"
 
 
-def _sum_tallies(tallies) -> Dict[str, int]:
+def sum_tallies(tallies) -> Dict[str, int]:
     total: Dict[str, int] = {}
     for tally in tallies:
         for key, count in tally.items():
@@ -364,14 +364,20 @@ class FederatedMediator(Entity):
     def route_counts(self) -> Dict[str, int]:
         """Fast-engine route counts summed over the shards (empty on
         the event engine, whose shards take no fast route)."""
-        return _sum_tallies(
+        return sum_tallies(
             getattr(m, "route_counts", {}) for m in self.federation.mediators
         )
 
     @property
     def scalar_reasons(self) -> Dict[str, int]:
-        return _sum_tallies(
+        return sum_tallies(
             getattr(m, "scalar_reasons", {}) for m in self.federation.mediators
+        )
+
+    @property
+    def commit_counts(self) -> Dict[str, int]:
+        return sum_tallies(
+            getattr(m, "commit_counts", {}) for m in self.federation.mediators
         )
 
     def __repr__(self) -> str:

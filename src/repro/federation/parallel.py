@@ -98,6 +98,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import gini, mean, stdev
 from repro.des.events import make_repeating
+from repro.federation.mediator import sum_tallies
 from repro.federation.ring import ShardMap
 from repro.metrics.collectors import MetricsHub
 
@@ -449,11 +450,17 @@ def _harvest(live, shard_slice: ShardSlice) -> dict:
         )
         for ordinal in shard_slice.group
     ]
+    owned = [federation.mediators[ordinal] for ordinal in shard_slice.group]
     return {
         "group": shard_slice.group,
         "consumers": consumers,
         "providers": providers,
         "shards": shards,
+        # Fast-engine execution metadata (absent on the event engine).
+        "tallies": {
+            name: sum_tallies(getattr(m, name, {}) for m in owned)
+            for name in _MergedMediator.TALLIES
+        },
         "network": (live.network.messages_sent, live.network.messages_delivered),
         "departures": list(live.hub.departures),
         "rejoins": list(live.hub.rejoins),
@@ -600,13 +607,13 @@ class _MergedPopulation:
 
 
 class _MergedMediator:
-    """The counters a summary reads, summed over the workers' shards.
-
-    Not ``route_counts``/``scalar_reasons``: the harvest rows do not
-    ship them, so a parallel run's ``RunResult.mediator`` has none.
-    A serial run of the same config reports them, and placement never
-    changes which route a shard's mediations take.
+    """The counters a summary reads, summed over the workers' shards,
+    and the fast engine's route/commit tallies summed the same way:
+    placement never changes which route a shard's mediations take, so
+    they equal the serial run's.
     """
+
+    TALLIES = ("route_counts", "scalar_reasons", "commit_counts")
 
     __slots__ = (
         "mediations",
@@ -614,14 +621,16 @@ class _MergedMediator:
         "coordination_messages",
         "forwarded",
         "records",
-    )
+    ) + TALLIES
 
-    def __init__(self, mediations, failures, coordination, forwarded):
+    def __init__(self, mediations, failures, coordination, forwarded, tallies):
         self.mediations = mediations
         self.failures = failures
         self.coordination_messages = coordination
         self.forwarded = forwarded
         self.records = []
+        for name in self.TALLIES:
+            setattr(self, name, sum_tallies(t[name] for t in tallies))
 
 
 class _MergedNetwork:
@@ -802,6 +811,7 @@ def _merge_result(
         sum(row[2] for h in harvests for row in h["shards"]),
         sum(row[3] for h in harvests for row in h["shards"]),
         sum(row[4] for h in harvests for row in h["shards"]),
+        [h["tallies"] for h in harvests],
     )
     network = _MergedNetwork(
         sum(h["network"][0] for h in harvests),

@@ -330,9 +330,14 @@ class ServeEngine:
         mediator = self.live.mediator
         routes = getattr(mediator, "route_counts", None)
         if routes:
-            # fast engine only: which code path mediated, and why not
-            # the column one (execution metadata, never in a digest)
-            routes = {**routes, "scalar_reasons": mediator.scalar_reasons}
+            # fast engine only: which code path decided, why not the
+            # column one, and which commit ran (execution metadata,
+            # never in a digest)
+            routes = {
+                **routes,
+                "scalar_reasons": mediator.scalar_reasons,
+                "commit": mediator.commit_counts,
+            }
         return {
             "policy": self.policy_spec.label,
             "sim_time": self.sim.now,

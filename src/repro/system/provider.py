@@ -33,9 +33,10 @@ from repro.core.satisfaction import DEFAULT_MEMORY, ProviderSatisfactionTracker
 from repro.des.entity import Entity
 from repro.des.network import Message, Network
 from repro.des.scheduler import Simulator
+from repro.system.query import QueryResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.system.query import AllocationRecord, Query, QueryResult
+    from repro.system.query import AllocationRecord, Query
 
 #: Default backlog (seconds) at which a provider reports utilization 1.
 DEFAULT_SATURATION_HORIZON = 120.0
@@ -244,8 +245,6 @@ class Provider(Entity):
         (lame-duck draining), so every allocated query eventually
         completes and the consumer can measure its response time.
         """
-        from repro.system.query import QueryResult  # local: avoid cycle at import
-
         query = record.query
         # Enqueue through begin_execution so the fast engine's batched
         # result drain and this faithful path can never drift apart on

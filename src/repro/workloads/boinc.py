@@ -256,7 +256,9 @@ class _PopulationDraws:
     population is bit-identical to a freshly drawn one.
     """
 
-    providers: Tuple[Tuple[str, str, Dict[str, float], float, int], ...]
+    #: ``(pid, archetype, preferences, resource shares, capacity, memory)``
+    #: -- the shares are a pure function of the drawn preferences.
+    providers: Tuple[Tuple[str, str, Dict[str, float], Dict[str, float], float, int], ...]
     focal_provider_memory: Optional[int]
     consumers: Tuple[Tuple[str, Dict[str, float], int], ...]
     focal_consumer_draw: Optional[Tuple[Dict[str, float], int]]
@@ -322,7 +324,8 @@ def _draw_population(
             stream, archetype, consumer_ids, popularity_weights
         )
         capacity = capacity_stream.lognormal(params.capacity_mean, params.capacity_cv)
-        provider_rows.append((pid, archetype, preferences, capacity, draw_memory()))
+        shares = shares_from_preferences(preferences)
+        provider_rows.append((pid, archetype, preferences, shares, capacity, draw_memory()))
         provider_ids.append(pid)
 
     focal_provider_memory: Optional[int] = None
@@ -375,8 +378,9 @@ def build_boinc_population(
     The draws themselves are memoized per ``(seed, draw-affecting
     params)`` (:class:`_PopulationDraws`), so replications and sweep
     points that share a population pay the stream arithmetic once;
-    entities are always constructed fresh, and preference dicts are
-    copied out of the memo so no state leaks between runs.
+    entities are always constructed fresh, and the participants copy
+    the preference and share dicts they are given, so no state leaks
+    between runs.
     """
     registry = SystemRegistry()
     consumer_model: ConsumerIntentionModel = make_consumer_intention_model(
@@ -395,17 +399,17 @@ def build_boinc_population(
     # -- providers -------------------------------------------------------
     providers: List[Provider] = []
     archetype_of: Dict[str, str] = {}
-    for pid, archetype, preferences, capacity, memory in draws.providers:
+    for pid, archetype, preferences, shares, capacity, memory in draws.providers:
         provider = Provider(
             sim,
             network,
             participant_id=pid,
             capacity=capacity,
-            preferences=dict(preferences),
+            preferences=preferences,
             intention_model=provider_model,
             memory=memory,
             saturation_horizon=params.saturation_horizon,
-            resource_shares=shares_from_preferences(preferences),
+            resource_shares=shares,
         )
         providers.append(provider)
         archetype_of[pid] = archetype
@@ -439,7 +443,7 @@ def build_boinc_population(
             sim,
             network,
             participant_id=name,
-            preferences=dict(preferences),
+            preferences=preferences,
             intention_model=consumer_model,
             memory=memory,
             default_n_results=params.n_results,
@@ -455,7 +459,7 @@ def build_boinc_population(
             sim,
             network,
             participant_id=focal_consumer.participant_id,
-            preferences=dict(preferences),
+            preferences=preferences,
             intention_model=consumer_model,
             memory=memory,
             default_n_results=params.n_results,

@@ -264,10 +264,19 @@ class TestDigestParity:
     def test_parallel_matches_serial(self, engine):
         config, policy = _federated_config()
         config = replace(config, engine=engine)
-        serial = run_once(config, policy).digest()
+        serial = run_once(config, policy)
         report = run_parallel(config, policy, workers=2)
         assert report.mode == "parallel"
-        assert report.result.digest() == serial
+        assert report.result.digest() == serial.digest()
+        # Execution metadata survives the harvest: which route decided
+        # and which commit ran, summed over the workers' shards.
+        merged = report.result.mediator
+        for tally in ("route_counts", "scalar_reasons", "commit_counts"):
+            assert getattr(merged, tally) == getattr(serial.mediator, tally), tally
+        if engine == "fast":
+            assert sum(merged.route_counts.values()) == merged.commit_counts["rows"] > 0
+        else:
+            assert merged.route_counts == merged.commit_counts == {}
 
     def test_every_worker_count_identical(self):
         config, policy = _federated_config(duration=60.0)
@@ -317,11 +326,13 @@ class TestDigestParity:
 
     def test_worker_counts_on_the_eight_shard_matrix(self):
         config, policy = _federated_config(duration=40.0, shards=8)
-        serial = run_once(config, policy).digest()
+        serial = run_once(config, policy)
         for workers in (1, 2, 3, 4, 8):
             report = run_parallel(config, policy, workers=workers)
             assert report.mode == "parallel", report.reason
-            assert report.result.digest() == serial, f"workers={workers}"
+            assert report.result.digest() == serial.digest(), f"workers={workers}"
+            assert report.result.mediator.route_counts == serial.mediator.route_counts
+            assert report.result.mediator.commit_counts == serial.mediator.commit_counts
 
 
 # ----------------------------------------------------------------------
