@@ -193,7 +193,7 @@ class SweepSpec:
     population) on the aggregated result for post-run series analysis
     -- serial execution only, since parallel workers ship summaries
     back, not live simulation objects.  See
-    ``benchmarks/bench_ablation_memory.py`` for the intended use.
+    ``examples/specs/ablations/memory.json`` for the intended use.
     """
 
     name: str = "sweep"

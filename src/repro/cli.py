@@ -34,6 +34,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from repro.allocation.factory import POLICY_NAMES
 from repro.analysis.export import series_to_csv
 from repro.experiments.scenarios import ALL_SCENARIOS
 
@@ -300,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
         "throughput is below this many mediations/second",
     )
     bench.add_argument(
-        "--policy", action="append", default=None, metavar="NAME",
+        "--policy", action="append", default=None, choices=POLICY_NAMES,
+        metavar="NAME",
         help="policy to include in the fast-vs-event matrix (repeatable; "
         "default: the built-in matrix set)",
     )
@@ -309,16 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="population size for the scaling axis (repeatable; default "
         "120/500/2000/10000, smoke 120/600)",
-    )
-    bench.add_argument(
-        "--max-n", type=int, default=None,
-        help="cap the population axes at this N (drops larger default "
-        "points; joins the grid itself when above every default point)",
-    )
-    bench.add_argument(
-        "--shards", type=int, default=None,
-        help="pin every federation point to this shard count instead of "
-        "the proportional default schedule",
     )
     bench.add_argument(
         "--min-scaling-ratio", type=float, default=None,
@@ -332,20 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
         "is below this",
     )
     bench.add_argument(
-        "--min-parallel-speedup", type=float, default=None,
-        help="fail (exit 1) when the parallel-federation speedup "
-        "(serial wall-clock over the slowest shard-group slice at the "
-        "best worker count) is below this",
-    )
-    bench.add_argument(
         "--skip-parity", action="store_true",
         help="skip the digest-parity runs (timing only)",
-    )
-    bench.add_argument(
-        "--serve", action="store_true",
-        help="benchmark the serving subsystem instead: sustained open-"
-        "loop queries/s and ingress-delay quantiles over the three "
-        "synthetic trace shapes (BENCH_serve.json layout)",
     )
 
     workload = sub.add_parser(
@@ -540,19 +520,12 @@ def _print_shard_placement(session, requested: Optional[int]) -> None:
         print(note, file=sys.stderr)
 
 
-def _run_spec_file(args: argparse.Namespace) -> int:
-    """``sbqa run --spec experiment.json``: the declarative entry point."""
-    from repro.api.builder import Experiment
+def _override_base(builder, args: argparse.Namespace):
+    """Apply the base-experiment flags ``run`` and ``sweep`` share.
 
-    try:
-        builder = Experiment.load(args.spec)
-    except OSError as err:
-        print(f"error: cannot read spec file: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError) as err:
-        print(f"error: invalid spec {args.spec}: {err}", file=sys.stderr)
-        return 2
-    # CLI overrides rebuild the spec, so __post_init__ re-validates.
+    The builder rebuilds the spec, so ``__post_init__`` re-validates
+    the overridden combination.
+    """
     if args.seed is not None:
         builder.seed(args.seed)
     if args.duration is not None:
@@ -565,8 +538,23 @@ def _run_spec_file(args: argparse.Namespace) -> int:
         builder.engine(args.engine)
     if args.shards is not None:
         builder.shards(args.shards)
+    return builder
+
+
+def _run_spec_file(args: argparse.Namespace) -> int:
+    """``sbqa run --spec experiment.json``: the declarative entry point."""
+    from repro.api.builder import Experiment
+
     try:
-        session = builder.session()
+        builder = Experiment.load(args.spec)
+    except OSError as err:
+        print(f"error: cannot read spec file: {err}", file=sys.stderr)
+        return 2
+    except (ValueError, TypeError) as err:
+        print(f"error: invalid spec {args.spec}: {err}", file=sys.stderr)
+        return 2
+    try:
+        session = _override_base(builder, args).session()
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -779,61 +767,45 @@ def _quick_sweep_spec(args: argparse.Namespace):
     """The quick form (``sbqa sweep kn --values 1,2,5``) as a SweepSpec."""
     from repro.api.builder import Experiment
     from repro.api.sweep import SweepAxis, SweepSpec
-    from repro.experiments.config import DEFAULT_SEED
 
     raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not raw_values:
         raise ValueError("no sweep values given")
     path, coerce = _QUICK_SWEEP_AXES[args.parameter]
     values = tuple(coerce(raw) for raw in raw_values)
-    base = (
+    # The caller filled in the quick-form --duration/--providers
+    # defaults; an explicit --replications 0 reaches spec validation
+    # and errors out, matching the --spec path.
+    builder = _override_base(
         Experiment.builder()
         .named(f"sweep-{args.parameter}")
-        .seed(DEFAULT_SEED if args.seed is None else args.seed)
-        .duration(args.duration)
-        .providers(args.providers)
-        .policy("sbqa", k=args.k, kn=max(1, args.k // 2))
-        # None means "default"; an explicit 0 must reach spec validation
-        # and error out, matching the --spec path.
-        .replications(1 if args.replications is None else args.replications)
-        .build()
+        .policy("sbqa", k=args.k, kn=max(1, args.k // 2)),
+        args,
     )
     axis = SweepAxis(path=path, values=values, label=args.parameter)
-    return SweepSpec(name=f"sweep-{args.parameter}", base=base, axes=(axis,))
+    return SweepSpec(
+        name=f"sweep-{args.parameter}", base=builder.build(), axes=(axis,)
+    )
 
 
 def _sweep_spec_from_file(args: argparse.Namespace):
     """Load ``--spec grid.json``, applying base overrides.
 
-    ``--seed``, ``--duration``, ``--providers`` and ``--replications``
-    rewrite the loaded grid's *base* experiment, mirroring what
-    ``sbqa run --spec`` accepts; points re-expand and re-validate
-    around the overridden base (the spec caches its expansion, so it is
-    rebuilt rather than mutated in place).
+    ``--seed``, ``--duration``, ``--providers``, ``--replications``,
+    ``--engine`` and ``--shards`` rewrite the loaded grid's *base*
+    experiment, exactly as ``sbqa run --spec`` does; everything else in
+    the file (axes, ``keep_runs``) is kept.  Points re-expand and
+    re-validate around the overridden base (the spec caches its
+    expansion, so it is rebuilt rather than mutated in place).
     """
-    from repro.api.spec import ExperimentSpec
+    from dataclasses import replace
+
+    from repro.api.builder import ExperimentBuilder
     from repro.api.sweep import SweepSpec
 
     spec = SweepSpec.load(args.spec)
-    data = spec.base.to_dict()
-    changed = False
-    if args.seed is not None:
-        data["seed"] = args.seed
-        changed = True
-    if args.duration is not None:
-        data["duration"] = args.duration
-        changed = True
-    if args.providers is not None:
-        data["population"]["n_providers"] = args.providers
-        changed = True
-    if args.replications is not None:
-        data["replications"] = args.replications
-        changed = True
-    if changed:
-        spec = SweepSpec(
-            name=spec.name, base=ExperimentSpec.from_dict(data), axes=spec.axes
-        )
-    return spec
+    base = _override_base(ExperimentBuilder(spec.base), args).build()
+    return replace(spec, base=base)
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
@@ -891,27 +863,14 @@ def _run_sweep(args: argparse.Namespace) -> int:
     except (ValueError, TypeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if args.engine is not None or args.shards is not None:
-        from repro.api.spec import ExperimentSpec
-        from repro.api.sweep import SweepSpec
-
-        base = spec.base.to_dict()
-        if args.engine is not None:
-            base["engine"] = args.engine
-        if args.shards is not None:
-            base["federation"] = dict(
-                base.get("federation") or {}, shards=args.shards
-            )
-        spec = SweepSpec(
-            name=spec.name,
-            base=ExperimentSpec.from_dict(base),
-            axes=spec.axes,
-            keep_runs=spec.keep_runs,
-        )
-
     session = SweepSession(spec)
     parallel = args.parallel or args.workers is not None
-    stream = session.stream(parallel=parallel, max_workers=args.workers)
+    # Only tables and exports leave this command: a file's keep_runs
+    # (full runs for in-process analysis) would hold every simulator
+    # alive for nothing, and rules out worker processes.
+    stream = session.stream(
+        parallel=parallel, max_workers=args.workers, keep_runs=False
+    )
     if args.stream:
         # Partial tables while the grid runs: one block per completed
         # point (completion order in parallel mode; identical final
@@ -1238,24 +1197,14 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 def _run_bench(args: argparse.Namespace) -> int:
     """``sbqa bench``: the core hot-path bench (see docs/performance.md)."""
-    if args.serve:
-        from repro.perf.servebench import format_serve_report, run_serve_bench, write_serve_record
-
-        record = run_serve_bench(smoke=args.smoke, repeats=args.repeats)
-        print(format_serve_report(record))
-        if args.json_out:
-            write_serve_record(record, args.json_out)
-            print(f"\nbench record written to {args.json_out}")
-        if not record["parity"]["identical"]:
-            print(
-                "error: serve replay and batch recording produced different "
-                "digests",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-
     from repro.perf.hotpath import format_report, gate_failures, run_bench, write_record
+
+    sizes = [("--mediations", args.mediations), ("--repeats", args.repeats)]
+    sizes += [("--scale-providers", n) for n in args.scale_providers or ()]
+    for flag, value in sizes:
+        if value is not None and value < 1:
+            print(f"error: {flag} must be >= 1, got {value}", file=sys.stderr)
+            return 2
 
     record = run_bench(
         smoke=args.smoke,
@@ -1264,8 +1213,6 @@ def _run_bench(args: argparse.Namespace) -> int:
         check_parity=not args.skip_parity,
         policies=args.policy,
         scale_providers=args.scale_providers,
-        max_n=args.max_n,
-        shards=args.shards,
     )
     print(format_report(record))
     if args.json_out:
@@ -1277,7 +1224,6 @@ def _run_bench(args: argparse.Namespace) -> int:
         min_mediate_per_s=args.min_mediate_per_s,
         min_scaling_ratio=args.min_scaling_ratio,
         min_federation_ratio=args.min_federation_ratio,
-        min_parallel_speedup=args.min_parallel_speedup,
     )
     for failure in failures:
         print(f"error: {failure}", file=sys.stderr)

@@ -36,7 +36,7 @@ scheduler events and Python objects*; what must not differ is clock
 values, allocations, satisfaction bookkeeping, records, and the
 coordination-message accounting.  ``tests/core/test_engine_parity.py``
 asserts byte-identical result digests across both engines, and
-``benchmarks/bench_core_hotpath.py`` tracks the speedup.
+``sbqa bench`` tracks the speedup.
 
 Select the engine per run with ``ExperimentConfig(engine="fast")`` (the
 default) or ``engine="event"`` -- the equivalence escape hatch that

@@ -73,14 +73,15 @@ from repro.system.registry import SystemRegistry
 #: the scaling axis to 10000 providers, added ``speedup.scaling_ratio``
 #: (the flatness gate) and the ``federation`` section (sharded
 #: multi-mediator throughput, N scaled to 100k with K shards).
-#: Version 5 added the ``parallel_federation`` section (process-parallel
-#: shard-group execution, slice-max methodology) and
-#: ``speedup.parallel_vs_serial``.  Version 6 removed the
+#: Version 5 added a process-parallel shard-group section and
+#: ``speedup.parallel_vs_serial``; version 8 removed both (the wall
+#: clock of a parallel run is ``bench/``'s ``federated-parallel``
+#: workload).  Version 6 removed the
 #: ``seed_baseline`` configuration, ``speedup.{fast,event}_vs_seed`` and
 #: the ``registry`` section.  Version 7 added ``throughput_random_latency``
 #: (the same three configurations at ``U[0.02, 0.08]``) and
 #: ``speedup.columns_vs_scalar``.
-BENCH_VERSION = 7
+BENCH_VERSION = 8
 
 #: Engines measured by the throughput kernel, in reporting order.
 #: ``fast`` runs the fused structure-of-arrays kernel; ``fast_scalar``
@@ -117,7 +118,6 @@ def build_mediation_system(
     memory: int = 100,
     seed: int = 13,
     shards: int = 1,
-    consumers: int = 1,
     random_latency: bool = False,
 ):
     """One consumer, ``n_providers`` volunteers, a mediator.
@@ -135,13 +135,6 @@ def build_mediation_system(
     :class:`~repro.federation.mediator.FederatedMediator` facade and
     each ``mediate`` pays the O(1) route before the home shard's
     kernel.
-
-    ``consumers > 1`` builds ``c0..c{C-1}`` so query topics spread
-    across a federation's shards (the parallel-federation axis needs
-    per-shard traffic); the return value is then
-    ``(sim, mediator, [consumer, ...])`` instead of a single consumer.
-    With the default ``consumers=1`` the build is unchanged
-    draw-for-draw.
 
     ``random_latency`` swaps the fixed 0.05 s one-way delay for the
     config default ``U[0.02, 0.08]`` (its own named stream): ``fast``
@@ -188,7 +181,6 @@ def build_mediation_system(
             range(n_providers),
             key=lambda i: (shard_map.shard_of_provider(f"p{i:03d}"), i),
         )
-    consumer_ids = [f"c{j}" for j in range(consumers)]
     providers: list = [None] * n_providers
     for i in build_order:
         capacity, preference = draws[i]
@@ -197,27 +189,23 @@ def build_mediation_system(
             network,
             participant_id=f"p{i:03d}",
             capacity=capacity,
-            preferences={cid: preference for cid in consumer_ids},
+            preferences={"c0": preference},
             intention_model=shared_model,
             memory=memory,
-            resource_shares={cid: 1.0 for cid in consumer_ids},
+            resource_shares={"c0": 1.0},
         )
     for provider in providers:
         registry.add_provider(provider)
-    consumer_objs = []
-    for cid in consumer_ids:
-        consumer = Consumer(
-            sim,
-            network,
-            participant_id=cid,
-            preferences={
-                p.participant_id: stream.uniform(-1.0, 1.0) for p in providers
-            },
-            memory=memory,
-        )
-        registry.add_consumer(consumer)
-        consumer_objs.append(consumer)
-    consumer = consumer_objs[0]
+    consumer = Consumer(
+        sim,
+        network,
+        participant_id="c0",
+        preferences={
+            p.participant_id: stream.uniform(-1.0, 1.0) for p in providers
+        },
+        memory=memory,
+    )
+    registry.add_consumer(consumer)
 
     def _make_policy(policy_root):
         if policy == "sbqa":
@@ -257,10 +245,7 @@ def build_mediation_system(
             )
     finally:
         _engine._FUSED_KERNEL = kernel_was
-    for member in consumer_objs:
-        member.attach_mediator(mediator)
-    if consumers > 1:
-        return sim, mediator, consumer_objs
+    consumer.attach_mediator(mediator)
     return sim, mediator, consumer
 
 
@@ -429,128 +414,6 @@ def measure_federation(
     return {"points": rows, "flat_ratio": last / first}
 
 
-def measure_parallel_federation(
-    n_providers: int = 100_000,
-    shards: int = 50,
-    worker_counts: Sequence[int] = (1, 2, 4, 8),
-    mediations: int = 2000,
-    repeats: int = 2,
-    policy: str = "sbqa",
-) -> Dict[str, object]:
-    """Parallel shard-group throughput by the **slice-max** method.
-
-    The process-parallel runtime (:mod:`repro.federation.parallel`)
-    partitions the K shards into worker groups; each worker mediates
-    only the queries homed on its group.  Because shard states are
-    disjoint, the parallel wall-clock of the mediate phase is the
-    slowest group's slice.  This bench measures exactly that quantity
-    without requiring idle cores: each group's query slice is timed in
-    isolation (sequentially, same process, fresh best-of-``repeats``
-    passes) and the parallel rate is ``total mediations / max slice
-    seconds`` -- the critical path a ``workers``-core host would see.
-    The record carries ``"mode": "slice-max"`` to flag the methodology;
-    it reports achievable speedup of the mediation phase, not a wall
-    clock observed on this host.
-
-    Traffic comes from ``3 * shards`` consumers (round-robin); groups
-    are the runtime's own load-aware placement over the per-shard
-    consumer counts, so what consistent hashing leaves unbalanced after
-    placement is part of the measurement.
-    """
-    from repro.federation import FederationConfig, ShardMap
-    from repro.federation.parallel import plan_placement
-
-    consumers = 3 * shards
-    shard_map = ShardMap(FederationConfig(shards=shards))
-    home = {
-        f"c{j}": shard_map.shard_of_topic(f"c{j}") for j in range(consumers)
-    }
-    # Equal-rate round-robin traffic: a shard's load is its consumer count.
-    loads = [0] * shards
-    for ordinal in home.values():
-        loads[ordinal] += 1
-
-    def _queries(consumer_objs):
-        return [
-            Query(
-                consumer=consumer_objs[i % len(consumer_objs)],
-                topic=consumer_objs[i % len(consumer_objs)].participant_id,
-                service_demand=10.0,
-                n_results=2,
-                issued_at=0.0,
-            )
-            for i in range(mediations)
-        ]
-
-    def _slice_seconds(groups):
-        """One build; best-of-``repeats`` mediate seconds per group."""
-        import gc
-
-        sim, mediator, consumer_objs = build_mediation_system(
-            "fast",
-            policy=policy,
-            n_providers=n_providers,
-            shards=shards,
-            consumers=consumers,
-        )
-        mediate = mediator.mediate
-        # Small untimed warm-up so allocator pools settle per build.
-        for query in _queries(consumer_objs)[: min(200, mediations)]:
-            mediate(query)
-        seconds = []
-        for owned in groups:
-            owned_set = set(owned)
-            best = float("inf")
-            for _ in range(repeats):
-                queries = [
-                    q for q in _queries(consumer_objs)
-                    if home[q.topic] in owned_set
-                ]
-                gc.collect()
-                gc.disable()
-                try:
-                    start = time.perf_counter()
-                    for query in queries:
-                        mediate(query)
-                    best = min(best, time.perf_counter() - start)
-                finally:
-                    gc.enable()
-            seconds.append(best)
-        return seconds
-
-    all_shards = tuple(range(shards))
-    serial_seconds = _slice_seconds([all_shards])[0]
-    serial_per_s = mediations / serial_seconds
-    rows: Dict[str, object] = {}
-    best_speedup = 1.0
-    for workers in worker_counts:
-        groups = plan_placement(loads, workers)
-        max_slice = max(_slice_seconds(groups))
-        per_s = mediations / max_slice
-        speedup = per_s / serial_per_s
-        best_speedup = max(best_speedup, speedup)
-        rows[str(workers)] = {
-            "workers": workers,
-            "groups": len(groups),
-            "max_slice_s": max_slice,
-            "mediate_per_s": per_s,
-            "speedup": speedup,
-        }
-    return {
-        "mode": "slice-max",
-        "n_providers": n_providers,
-        "shards": shards,
-        "consumers": consumers,
-        "mediations": mediations,
-        "serial": {
-            "mediate_per_s": serial_per_s,
-            "seconds": serial_seconds,
-        },
-        "workers": rows,
-        "best_speedup": best_speedup,
-    }
-
-
 # ----------------------------------------------------------------------
 # Digest parity
 # ----------------------------------------------------------------------
@@ -637,8 +500,6 @@ def run_bench(
     check_parity: bool = True,
     policies: Optional[Iterable[str]] = None,
     scale_providers: Optional[Iterable[int]] = None,
-    max_n: Optional[int] = None,
-    shards: Optional[int] = None,
 ) -> Dict[str, object]:
     """Run the whole bench; returns the BENCH_core.json record.
 
@@ -646,13 +507,6 @@ def run_bench(
     :data:`MATRIX_POLICIES`; smoke trims to sbqa + economic);
     ``scale_providers`` overrides the population axis (default
     :data:`SCALING_PROVIDERS`; smoke trims to 120 + 600).
-
-    ``max_n`` caps both population axes: scaling points above it are
-    dropped (``max_n`` itself joins the grid when it exceeds
-    every default point), and federation points above it are dropped
-    down to at least the smallest.  ``shards`` pins every federation
-    point to that shard count instead of the proportional default
-    schedule (:data:`FEDERATION_POINTS`).
     """
     if mediations is None:
         mediations = 1200 if smoke else 4000
@@ -669,22 +523,6 @@ def run_bench(
     else:
         scale_providers = tuple(int(n) for n in scale_providers)
     federation_points = ((120, 1), (600, 4)) if smoke else FEDERATION_POINTS
-    parallel_n = 600 if smoke else 100_000
-    parallel_shards = 4 if smoke else 50
-    parallel_workers = (1, 2) if smoke else (1, 2, 4, 8)
-    if max_n is not None:
-        parallel_n = min(parallel_n, max_n)
-    if shards is not None:
-        parallel_shards = shards
-    if max_n is not None:
-        kept = tuple(n for n in scale_providers if n <= max_n)
-        if not kept or max_n > max(scale_providers):
-            kept += (max_n,)
-        scale_providers = kept
-        fed_kept = tuple(p for p in federation_points if p[0] <= max_n)
-        federation_points = fed_kept or federation_points[:1]
-    if shards is not None:
-        federation_points = tuple((n, shards) for n, _ in federation_points)
     matrix_mediations = max(400, mediations // 2)
     matrix_repeats = max(1, repeats - 1)
 
@@ -741,17 +579,7 @@ def run_bench(
             mediations=matrix_mediations,
             repeats=matrix_repeats,
         ),
-        "parallel_federation": measure_parallel_federation(
-            n_providers=parallel_n,
-            shards=parallel_shards,
-            worker_counts=parallel_workers,
-            mediations=matrix_mediations,
-            repeats=matrix_repeats,
-        ),
     }
-    record["speedup"]["parallel_vs_serial"] = record["parallel_federation"][
-        "best_speedup"
-    ]
     scaling = record["scaling"]
     low, high = min(scale_providers), max(scale_providers)
     # The flat-mediator flatness gate: fast-engine throughput at the
@@ -773,7 +601,6 @@ def gate_failures(
     min_mediate_per_s: Optional[float] = None,
     min_scaling_ratio: Optional[float] = None,
     min_federation_ratio: Optional[float] = None,
-    min_parallel_speedup: Optional[float] = None,
 ) -> List[str]:
     """One message per gate the record fails (empty when all pass).
 
@@ -807,10 +634,6 @@ def gate_failures(
         (
             "federation flatness",
             record["federation"]["flat_ratio"], min_federation_ratio, ".2f", "x",
-        ),
-        (
-            "parallel-federation speedup",
-            speedup["parallel_vs_serial"], min_parallel_speedup, ".2f", "x",
         ),
     )
     for what, measured, floor, fmt, unit in floors:
@@ -894,24 +717,6 @@ def format_report(record: Dict[str, object]) -> str:
             )
         lines.append(
             f"    flatness (largest / smallest): {federation['flat_ratio']:.2f}x"
-        )
-    parallel = record.get("parallel_federation")
-    if parallel:
-        lines += [
-            "",
-            f"  parallel federation (slice-max, N={parallel['n_providers']},"
-            f" K={parallel['shards']}):",
-            f"    serial   {parallel['serial']['mediate_per_s']:>10,.0f}"
-            " mediations/s",
-        ]
-        for row in parallel["workers"].values():
-            lines.append(
-                f"    W={row['workers']:<4}"
-                f" {row['mediate_per_s']:>10,.0f} mediations/s"
-                f"   ({row['speedup']:.2f}x)"
-            )
-        lines.append(
-            f"    best speedup vs serial: {parallel['best_speedup']:.2f}x"
         )
     parity = record.get("parity")
     if parity is not None:

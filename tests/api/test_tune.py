@@ -418,8 +418,8 @@ class TestExampleStudy:
     """The shipped tune_omega.json study meets the acceptance bar.
 
     The cross-check against the *exhaustive* sweep (same winner,
-    bit-for-bit survivors) runs in the CI smoke job and in
-    ``benchmarks/bench_tune_vs_sweep.py``; here the study itself is
+    bit-for-bit survivors) runs in the CI smoke job ("Tune acceptance
+    vs the exhaustive sweep"); here the study itself is
     raced once and held to its budget and savings claims.
     """
 

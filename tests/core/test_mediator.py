@@ -141,7 +141,10 @@ class TestMediationSuccess:
         consumer.attach_mediator(mediator)
         consumer.issue("c0", service_demand=10.0)
         sim.run()
-        assert {"mediate", "knbest", "sqlb", "allocate"} <= trace.categories()
+        # Figure 1, stage by stage: the query arrives, KnBest narrows the
+        # providers, SQLB scores them, the best ones are allocated.
+        pipeline = ["mediate", "knbest", "sqlb", "allocate"]
+        assert [e.category for e in trace.events if e.category in pipeline] == pipeline
 
 
 class TestMediationFailure:

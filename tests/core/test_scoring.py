@@ -49,6 +49,22 @@ class TestScoreBranches:
         strong = sqlb_score(1.0, -0.9, 0.5, epsilon=1.0)
         assert strong < mild < 0.0
 
+    def test_vanishing_epsilon_lets_eagerness_erase_the_consumer_veto(self):
+        """The failure epsilon guards against: an eager provider the
+        consumer fully objects to (PI=1, CI=-1) scores -0 as epsilon
+        vanishes and outranks every neutral provider the consumer
+        wants (PI=0, CI=c>0)."""
+
+        def veto_respected(epsilon):
+            pariah = sqlb_score(1.0, -1.0, 0.5, epsilon)
+            wanted = [sqlb_score(0.0, i / 50.0, 0.5, epsilon) for i in range(1, 50)]
+            return sum(score > pariah for score in wanted) / len(wanted)
+
+        fractions = [veto_respected(e) for e in (1e-9, 0.01, 0.1, 0.5, 1.0, 2.0)]
+        assert fractions[0] < 0.05  # score collapse
+        assert veto_respected(1.0) > 0.4  # the paper's default
+        assert fractions == sorted(fractions)  # monotone in epsilon
+
     def test_validation(self):
         with pytest.raises(ValueError, match="provider intention"):
             sqlb_score(1.5, 0.0, 0.5)

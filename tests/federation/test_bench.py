@@ -1,6 +1,8 @@
 """The bench-side federation surface: record shape, axes, CLI flags."""
 
 import copy
+import json
+from pathlib import Path
 
 import pytest
 
@@ -69,9 +71,17 @@ class TestRunBenchAxes:
         )
 
     def test_version_and_sections(self, record):
-        assert record["bench_version"] == BENCH_VERSION == 7
-        assert "federation" in record
-        assert "scaling_ratio" in record["speedup"]
+        assert record["bench_version"] == BENCH_VERSION == 8
+        # Exact key sets: a section cannot appear or vanish unnoticed.
+        assert set(record) == {
+            "bench_version", "bench", "mode", "python", "scenario",
+            "throughput", "throughput_random_latency", "speedup",
+            "policies", "scaling", "federation",
+        }
+        assert set(record["speedup"]) == {
+            "fast_vs_event", "fused_vs_scalar", "columns_vs_scalar",
+            "end_to_end_ratio", "scaling_ratio",
+        }
         assert set(record["throughput"]) == {"fast", "fast_scalar", "event"}
         # the same three under U[0.02, 0.08], fast on the column route
         assert set(record["throughput_random_latency"]) == set(record["throughput"])
@@ -92,71 +102,34 @@ class TestRunBenchAxes:
             assert mediator.route_counts[route] == 1
             assert sum(mediator.route_counts.values()) == 1
 
-    def test_parallel_federation_section(self, record):
-        section = record["parallel_federation"]
-        assert section["mode"] == "slice-max"
-        assert section["serial"]["mediate_per_s"] > 0
-        for row in section["workers"].values():
-            assert row["mediate_per_s"] > 0
-            assert row["groups"] <= section["shards"]
-        assert record["speedup"]["parallel_vs_serial"] == (
-            section["best_speedup"]
-        )
-
-    def test_report_renders_parallel_federation(self, record):
-        report = format_report(record)
-        assert "parallel federation" in report
-        assert "slice-max" in report
-
     def test_report_renders_federation(self, record):
         report = format_report(record)
         assert "federation axis" in report
         assert "flatness" in report
-
-    def test_max_n_caps_axes(self):
-        record = run_bench(
-            smoke=True, mediations=100, repeats=1, check_parity=False,
-            max_n=150,
-        )
-        assert list(record["scaling"]) == ["120"]
-        assert all(
-            row["n_providers"] <= 150
-            for row in record["federation"]["points"].values()
-        )
-
-    def test_max_n_above_grid_joins_it(self):
-        record = run_bench(
-            smoke=True, mediations=100, repeats=1, check_parity=False,
-            max_n=700, scale_providers=(120, 600),
-        )
-        assert list(record["scaling"]) == ["120", "600", "700"]
-
-    def test_shards_pins_every_point(self):
-        record = run_bench(
-            smoke=True, mediations=100, repeats=1, check_parity=False,
-            max_n=150, shards=3,
-        )
-        assert all(
-            row["shards"] == 3
-            for row in record["federation"]["points"].values()
-        )
 
     def test_default_full_points_reach_100k(self):
         assert FEDERATION_POINTS[-1] == (100000, 50)
 
 
 class TestGateFailures:
-    """One implementation of the gates serves ``sbqa bench`` and the
-    ``benchmarks/`` wrapper scripts."""
+    """The gates behind ``sbqa bench``'s exit status."""
 
     @pytest.fixture(scope="class")
     def record(self):
-        return run_bench(smoke=True, mediations=100, repeats=1, max_n=150)
+        return run_bench(smoke=True, mediations=100, repeats=1)
 
     def test_no_floors_no_failures(self, record):
         assert record["parity"]["identical"]
         assert record["parity"]["scalar_identical"]
         assert gate_failures(record) == []
+
+    def test_committed_record_has_the_current_layout(self, record):
+        # A layout change must regenerate BENCH_core.json with it.
+        path = Path(__file__).resolve().parents[2] / "BENCH_core.json"
+        committed = json.loads(path.read_text(encoding="utf-8"))
+        assert committed["bench_version"] == BENCH_VERSION
+        assert set(committed) == set(record)
+        assert set(committed["speedup"]) == set(record["speedup"])
 
     def test_each_floor_reports_once(self, record):
         failures = gate_failures(
@@ -165,9 +138,8 @@ class TestGateFailures:
             min_mediate_per_s=1e12,
             min_scaling_ratio=1e9,
             min_federation_ratio=1e9,
-            min_parallel_speedup=1e9,
         )
-        assert len(failures) == 5
+        assert len(failures) == 4
         assert any("over the event engine" in f for f in failures)
         assert all("below the required" in f for f in failures)
 

@@ -241,6 +241,29 @@ class TestSweepSpecDriven:
         assert base["population"]["n_providers"] == 8
         assert json_a.read_text() != json_b.read_text()
 
+    def test_sweep_spec_override_keeps_the_rest_of_the_file(self, tmp_path, capsys):
+        """An override rewrites the base only: restating the file's own
+        seed changes nothing, keep_runs included."""
+        import json
+
+        path = self.emit(tmp_path)
+        grid = json.loads(path.read_text())
+        grid["keep_runs"] = True
+        path.write_text(json.dumps(grid))
+        json_a = tmp_path / "a.json"
+        json_b = tmp_path / "b.json"
+        assert main(["sweep", "--spec", str(path), "--json", str(json_a)]) == 0
+        assert main(["sweep", "--spec", str(path), "--seed", str(grid["base"]["seed"]),
+                     "--json", str(json_b)]) == 0
+        assert json.loads(json_b.read_text())["sweep"]["keep_runs"] is True
+        assert json_a.read_bytes() == json_b.read_bytes()
+        # the CLI only prints and exports, so keep_runs (serial-only in
+        # the library) must not stop the same file running on workers
+        assert main(["sweep", "--spec", str(path), "--workers", "2",
+                     "--json", str(json_b)]) == 0
+        capsys.readouterr()
+        assert json_a.read_bytes() == json_b.read_bytes()
+
     def test_sweep_spec_rejects_quick_only_k(self, tmp_path, capsys):
         path = self.emit(tmp_path)
         capsys.readouterr()
@@ -646,24 +669,18 @@ class TestServeCommand:
         assert "error" in capsys.readouterr().err
 
 
-class TestBenchServe:
-    def test_bench_serve_smoke(self, capsys):
-        code = main(["bench", "--smoke", "--serve", "--repeats", "1"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "serve throughput bench" in out
-        assert "identical" in out
+class TestBenchBadInput:
+    """Rejected before anything is measured: exit 2 and an error line."""
 
-    def test_bench_serve_json(self, tmp_path, capsys):
-        import json
+    def test_unknown_policy(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--smoke", "--policy", "nonsense"])
+        assert exit_info.value.code == 2
+        assert "error: argument --policy: invalid choice" in capsys.readouterr().err
 
-        path = tmp_path / "bench.json"
-        code = main(
-            ["bench", "--smoke", "--serve", "--repeats", "1",
-             "--json", str(path)]
-        )
-        assert code == 0
-        record = json.loads(path.read_text())
-        assert record["bench"] == "serve_throughput"
-        assert record["parity"]["identical"] is True
-        assert set(record["shapes"]) == {"diurnal", "flash-crowd", "heavy-tail"}
+    @pytest.mark.parametrize(
+        "flag", ["--mediations", "--repeats", "--scale-providers"]
+    )
+    def test_sizes_below_one(self, flag, capsys):
+        assert main(["bench", "--smoke", flag, "0"]) == 2
+        assert f"error: {flag} must be >= 1, got 0" in capsys.readouterr().err
