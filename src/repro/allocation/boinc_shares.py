@@ -61,20 +61,11 @@ class BoincSharesPolicy(AllocationPolicy):
         # work units granted so far, keyed by (provider_id, consumer_id)
         self._granted: Dict[Tuple[str, str], float] = {}
 
-    # ------------------------------------------------------------------
-
-    def _share(self, provider: "Provider", consumer_id: str) -> float:
-        shares = provider.resource_shares
-        if not shares:
-            return 0.0
-        total = sum(shares.values())
-        if total <= 0:
-            return 0.0
-        return shares.get(consumer_id, 0.0) / total
-
     def debt(self, provider: "Provider", consumer_id: str, now: float) -> float:
         """Share-weighted entitlement minus work already granted (work units)."""
-        share = self._share(provider, consumer_id)
+        shares = provider.resource_shares
+        total = sum(shares.values()) if shares else 0.0
+        share = shares.get(consumer_id, 0.0) / total if total > 0 else 0.0
         if share <= 0.0:
             return float("-inf")  # refuses this consumer outright
         elapsed = max(0.0, now - provider.joined_at)
@@ -88,38 +79,17 @@ class BoincSharesPolicy(AllocationPolicy):
         candidates: Sequence["Provider"],
         ctx: AllocationContext,
     ) -> AllocationDecision:
-        consumer_id = query.consumer_id
-        willing = []
-        for provider in candidates:
-            debt = self.debt(provider, consumer_id, ctx.now)
-            if debt == float("-inf"):
-                continue  # zero share: the provider refuses this project
-            if debt + self.overdraft * provider.capacity < query.service_demand:
-                continue  # entitlement exhausted: rigid cap bites even if idle
-            willing.append((provider, debt))
-
-        if not willing:
+        """:meth:`select_fast`'s decision, then a trace line."""
+        decision = self.select_fast(query, candidates, ctx)
+        if ctx.trace.enabled:
+            if decision.allocated:
+                message = f"-> {[p.participant_id for p in decision.allocated]}"
+            else:
+                message = f"no provider with share budget for {query.consumer_id}"
             ctx.trace.record(
-                ctx.now,
-                "boinc-shares",
-                f"query {query.qid}: no provider with share budget for {consumer_id}",
-                qid=query.qid,
+                ctx.now, "boinc-shares", f"query {query.qid}: {message}", qid=query.qid
             )
-            return AllocationDecision(allocated=[])
-
-        willing.sort(key=lambda item: (-item[1], item[0].participant_id))
-        take = allocation_count(query, len(willing))
-        allocated = [provider for provider, _ in willing[:take]]
-        for provider in allocated:
-            key = (provider.participant_id, consumer_id)
-            self._granted[key] = self._granted.get(key, 0.0) + query.service_demand
-        ctx.trace.record(
-            ctx.now,
-            "boinc-shares",
-            f"query {query.qid}: -> {[p.participant_id for p in allocated]}",
-            qid=query.qid,
-        )
-        return AllocationDecision(allocated=allocated)
+        return decision
 
     def select_fast(
         self,
@@ -127,14 +97,14 @@ class BoincSharesPolicy(AllocationPolicy):
         candidates: Sequence["Provider"],
         ctx: AllocationContext,
     ) -> FastAllocationDecision:
-        """Hot-path :meth:`select`: one inlined debt pass.
+        """Dispatch to the highest debts: one inlined debt pass.
 
-        ``_share`` / :meth:`debt` run inline with identical arithmetic
-        (same normalisation quotient, same entitlement product), the
-        refusal / exhausted-budget filters short-circuit in the same
-        candidate order, and the ranking is a decorate-sort on the
-        same ``(-debt, participant_id)`` key -- bit-identical
-        decisions and ``_granted`` bookkeeping.
+        :meth:`debt` runs inline with identical arithmetic
+        (same normalisation quotient, same entitlement product); zero
+        shares refuse and exhausted budgets are skipped even when the
+        provider is idle, the ranking is a decorate-sort on the
+        ``(-debt, participant_id)`` key, and each allocation is charged
+        to ``_granted``.
         """
         now = ctx.now
         consumer_id = query.consumer_id

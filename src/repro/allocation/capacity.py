@@ -46,19 +46,16 @@ class CapacityBasedPolicy(AllocationPolicy):
         candidates: Sequence["Provider"],
         ctx: AllocationContext,
     ) -> AllocationDecision:
-        ranked = sorted(
-            candidates,
-            key=lambda p: (-p.available_capacity, -p.capacity, p.participant_id),
-        )
-        take = allocation_count(query, len(ranked))
-        allocated = ranked[:take]
-        ctx.trace.record(
-            ctx.now,
-            "capacity",
-            f"query {query.qid}: -> {[p.participant_id for p in allocated]}",
-            qid=query.qid,
-        )
-        return AllocationDecision(allocated=allocated)
+        """:meth:`select_fast`'s decision, then a trace line."""
+        decision = self.select_fast(query, candidates, ctx)
+        if ctx.trace.enabled:
+            ctx.trace.record(
+                ctx.now,
+                "capacity",
+                f"query {query.qid}: -> {[p.participant_id for p in decision.allocated]}",
+                qid=query.qid,
+            )
+        return decision
 
     def select_fast(
         self,
@@ -66,13 +63,12 @@ class CapacityBasedPolicy(AllocationPolicy):
         candidates: Sequence["Provider"],
         ctx: AllocationContext,
     ) -> FastAllocationDecision:
-        """Hot-path :meth:`select`: decorate-sort over one inlined pass.
+        """Rank by headroom: a decorate-sort over one inlined pass.
 
         The headroom read (``available_capacity`` -> ``utilization``
         -> ``backlog_seconds``) is three chained properties per
-        candidate on the event path; here the identical arithmetic
-        runs inline over the candidate snapshot, so the floats -- and
-        therefore the ranking -- are bit-identical.
+        candidate; here the identical arithmetic runs inline over the
+        candidate snapshot.
         """
         now = ctx.now
         rows = []

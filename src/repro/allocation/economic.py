@@ -72,31 +72,22 @@ class EconomicPolicy(AllocationPolicy):
         candidates: Sequence["Provider"],
         ctx: AllocationContext,
     ) -> AllocationDecision:
-        bids = {
-            p.participant_id: self.bid(p, query)
-            for p in candidates
-        }
-        ranked = sorted(
-            candidates, key=lambda p: (bids[p.participant_id], p.participant_id)
-        )
-        take = allocation_count(query, len(ranked))
-        allocated = ranked[:take]
-        ctx.trace.record(
-            ctx.now,
-            "economic",
-            f"query {query.qid}: cheapest bids "
-            f"{[(p.participant_id, round(bids[p.participant_id], 3)) for p in allocated]}",
-            qid=query.qid,
-        )
-        return AllocationDecision(
-            allocated=allocated,
-            # every candidate bid, so every candidate was touched by the
-            # mediation and learns the outcome
-            informed=list(candidates),
-            # one call-for-bids + one bid per candidate
-            consult_messages=2 * len(candidates),
-            metadata={"bids": bids},
-        )
+        """:meth:`select_fast`'s decision, then the cheapest bids as a
+        trace line when a recorder is listening."""
+        decision = self.select_fast(query, candidates, ctx)
+        if ctx.trace.enabled:
+            bids = decision.metadata["bids"]
+            cheapest = [
+                (p.participant_id, round(bids[p.participant_id], 3))
+                for p in decision.allocated
+            ]
+            ctx.trace.record(
+                ctx.now,
+                "economic",
+                f"query {query.qid}: cheapest bids {cheapest}",
+                qid=query.qid,
+            )
+        return decision
 
     def select_fast(
         self,
@@ -104,14 +95,15 @@ class EconomicPolicy(AllocationPolicy):
         candidates: Sequence["Provider"],
         ctx: AllocationContext,
     ) -> FastAllocationDecision:
-        """Hot-path :meth:`select`: one inlined bidding pass.
+        """Buy the cheapest bids: one inlined bidding pass.
 
-        ``bid()``'s property chain (``estimated_completion_delay`` ->
+        :meth:`bid`'s property chain (``estimated_completion_delay`` ->
         ``backlog_seconds`` + ``service_time``) runs inline with the
         identical expressions, the demand guard is hoisted out of the
         per-candidate loop, and the ranking is a decorate-sort on the
-        same ``(bid, participant_id)`` key -- so bids, ranking and the
-        decision metadata are bit-identical to the event path.
+        ``(bid, participant_id)`` key.  Every candidate bid, so every
+        candidate is informed of the outcome; one call-for-bids plus one
+        bid per candidate are the consultation messages.
         """
         now = ctx.now
         demand = query.service_demand

@@ -5,9 +5,9 @@ so scenario definitions stay declarative data; this module maps those
 names to constructors.  SbQA parameters ride in an
 :class:`~repro.core.sbqa.SbQAConfig`.
 
-Every policy built here works under both engines: each implements the
-hot-path ``select_fast`` hook bit-identically to its ``select``, so
-``engine="fast"`` needs no per-policy special-casing.
+Every policy built here works under both engines without per-policy
+special-casing: each writes its decision once, as ``select_fast``, and
+its ``select`` is that decision plus any trace lines.
 """
 
 from __future__ import annotations

@@ -4,12 +4,11 @@ These are not in the paper's scenario list; they anchor the ablation
 benches (a technique must at least beat random to matter) and give the
 test suite simple, fully predictable policies to assert against.
 
-Each baseline also implements the hot-path ``select_fast`` hook (see
-:class:`~repro.core.policy.AllocationPolicy`): the same decision,
-bit-for-bit, produced with decorate-sorts over inlined load reads and
-slot-based :class:`~repro.core.policy.FastAllocationDecision` objects,
-so ``engine="fast"`` covers these policies without falling back to the
-event-faithful ``select``.
+None of them writes trace lines, so each implements only
+``select_fast`` (see :class:`~repro.core.policy.AllocationPolicy`), a
+decorate-sort over inlined load reads returning a slot-based
+:class:`~repro.core.policy.FastAllocationDecision`; the inherited
+``select`` is that same decision, which is what the event engine runs.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.core.policy import (
     AllocationContext,
-    AllocationDecision,
     AllocationPolicy,
     FastAllocationDecision,
     allocation_count,
@@ -44,25 +42,13 @@ class RandomPolicy(AllocationPolicy):
     def __init__(self, stream: RandomStream) -> None:
         self._stream = stream
 
-    def select(
-        self,
-        query: "Query",
-        candidates: Sequence["Provider"],
-        ctx: AllocationContext,
-    ) -> AllocationDecision:
-        take = allocation_count(query, len(candidates))
-        allocated = self._stream.sample(list(candidates), take)
-        return AllocationDecision(allocated=allocated)
-
     def select_fast(
         self,
         query: "Query",
         candidates: Sequence["Provider"],
         ctx: AllocationContext,
     ) -> FastAllocationDecision:
-        # sample() consumes the same getrandbits sequence for any
-        # equal-length population, so drawing from the snapshot tuple
-        # directly skips the defensive list copy of select().
+        # sample() indexes a list or tuple in place: no defensive copy.
         take = allocation_count(query, len(candidates))
         allocated = self._stream.sample(candidates, take)
         return FastAllocationDecision(allocated=allocated)
@@ -81,24 +67,10 @@ class RoundRobinPolicy(AllocationPolicy):
     def __init__(self) -> None:
         self._cursor: int = 0
         # Hot-path cache: the id-sorted ordering of the last candidate
-        # snapshot, keyed on the snapshot's identity (the registry
-        # reuses one tuple between membership/online transitions, so
-        # the sort runs once per transition epoch, not per query).
+        # snapshot tuple, keyed on its identity (the registry reuses one
+        # tuple between membership/online transitions, so the sort runs
+        # once per transition epoch, not per query).
         self._ordered_cache: tuple = (None, [])
-
-    def select(
-        self,
-        query: "Query",
-        candidates: Sequence["Provider"],
-        ctx: AllocationContext,
-    ) -> AllocationDecision:
-        ordered = sorted(candidates, key=lambda p: p.participant_id)
-        take = allocation_count(query, len(ordered))
-        allocated = [
-            ordered[(self._cursor + offset) % len(ordered)] for offset in range(take)
-        ]
-        self._cursor = (self._cursor + take) % len(ordered)
-        return AllocationDecision(allocated=allocated)
 
     def select_fast(
         self,
@@ -106,10 +78,13 @@ class RoundRobinPolicy(AllocationPolicy):
         candidates: Sequence["Provider"],
         ctx: AllocationContext,
     ) -> FastAllocationDecision:
-        snapshot, ordered = self._ordered_cache
-        if snapshot is not candidates:
+        if type(candidates) is tuple:
+            snapshot, ordered = self._ordered_cache
+            if snapshot is not candidates:
+                ordered = sorted(candidates, key=_pid)
+                self._ordered_cache = (candidates, ordered)
+        else:  # a list may be mutated in place between two calls
             ordered = sorted(candidates, key=_pid)
-            self._ordered_cache = (candidates, ordered)
         n = len(ordered)
         cursor = self._cursor
         take = allocation_count(query, n)
@@ -128,18 +103,6 @@ class ShortestQueuePolicy(AllocationPolicy):
 
     name = "shortest-queue"
     consults_participants = False
-
-    def select(
-        self,
-        query: "Query",
-        candidates: Sequence["Provider"],
-        ctx: AllocationContext,
-    ) -> AllocationDecision:
-        ranked = sorted(
-            candidates, key=lambda p: (p.backlog_seconds, p.participant_id)
-        )
-        take = allocation_count(query, len(ranked))
-        return AllocationDecision(allocated=ranked[:take])
 
     def select_fast(
         self,

@@ -1,7 +1,7 @@
 """Statistical comparison of replicated experiment results.
 
-Single seeded runs settle "who wins" at one operating point; claims in
-EXPERIMENTS.md -- and the significance annotations in every
+Single seeded runs settle "who wins" at one operating point; scenario
+claims -- and the significance annotations in every
 :class:`~repro.api.results.SweepResult` digest -- deserve better.  This
 module compares a summary metric across two sets of replications with
 Welch's unequal-variance t-test; only the t-distribution CDF comes from

@@ -12,10 +12,10 @@ the event-faithful core while cutting the per-mediation constant:
   (``Entity.FAST_HANDLERS``): same latency draws in the same order,
   same scheduling instants, same event ordering -- only the per-send
   allocations disappear.  Unknown kinds fall back to the envelope path.
-* :class:`FastMediator` asks policies for their batched
-  ``select_fast`` decision whenever tracing is off (*every* policy has
-  one -- the base class delegates to ``select``, and SbQA plus all six
-  baselines override it), reads ``P_q`` from the registry's cached
+* :class:`FastMediator` asks policies for their ``select_fast``
+  decision directly whenever tracing is off (skipping ``select``,
+  which is that decision plus optional trace lines), reads ``P_q``
+  from the registry's cached
   capability snapshot (handing SbQA that snapshot's
   :class:`~repro.core.soa.ConsultColumns` to decide on, and committing
   every policy's decision in their rows), computes the consultation
@@ -308,8 +308,7 @@ class FastMediator(Mediator):
     the results:
 
     * decisions come from the policy's ``select_fast`` whenever
-      tracing is off -- *every* policy has one (the base class
-      delegates to ``select``; SbQA and all six baselines override it);
+      tracing is off, without ``select``'s trace-line check;
     * ``P_q`` is the registry's cached
       :meth:`~repro.system.registry.SystemRegistry.capable_snapshot`
       tuple -- no per-mediation list build;
@@ -337,7 +336,8 @@ class FastMediator(Mediator):
     the snapshot's columns and decides through the same
     :meth:`~repro.core.soa.ConsultColumns.decide` the fused kernel
     calls.  Three routes, counted in :attr:`route_counts`
-    (``traced`` is the fourth count: the faithful base-class pipeline):
+    (``traced`` is the fourth count: the base-class pipeline, which
+    calls ``select`` for its trace lines):
 
     * **fused** -- SbQA, positive constant latency: ``decide`` + lazy
       record + collapsed dispatch;
@@ -363,7 +363,8 @@ class FastMediator(Mediator):
         self._constant_one_way = self.network.latency.constant_delay()
         self._fast_select = self.policy.select_fast
         # One reusable context for the hot loop (consumed synchronously
-        # by exactly one select per mediation; .now and .columns change).
+        # by exactly one select_fast per mediation; .now and .columns
+        # change).
         self._ctx = AllocationContext(now=0.0, trace=NULL_RECORDER)
         # Structure-of-arrays state (see repro.core.soa): columns are
         # cached per (consumer, topic) -- this mediator's, so per shard
@@ -417,10 +418,6 @@ class FastMediator(Mediator):
             return self._mediate_fused(query, cols)
         return self._select_and_commit(query, candidates, cols)
 
-    # No _select override: the hot mediate() above routes to select_fast
-    # itself, and the super().mediate() fallback (tracing on) wants the
-    # faithful policy.select that the base hook already provides.
-
     def _columns_for(self, query, meta) -> Optional[ConsultColumns]:
         """Refreshed columns of ``(consumer, topic)``, or None.
 
@@ -456,9 +453,8 @@ class FastMediator(Mediator):
         ctx.now = now = self.sim._now
         ctx.columns = cols if on_columns else None
         decision = self._fast_select(query, candidates, ctx)
-        # Columns describe *this* snapshot only; other users of the
-        # shared context (a shard's forwarded select over a merged
-        # pool) must never see them.
+        # Columns describe *this* snapshot only; never leave them on
+        # the reused context.
         ctx.columns = None
         if not decision.allocated:
             return self._fail(query)

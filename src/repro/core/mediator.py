@@ -133,20 +133,12 @@ class Mediator(Entity):
         if not candidates:
             return self._fail(query)
 
-        ctx = AllocationContext(now=self.now, trace=self.trace)
-        decision = self._select(query, candidates, ctx)
+        decision = self.policy.select(
+            query, candidates, AllocationContext(now=self.now, trace=self.trace)
+        )
         if decision.is_failure:
             return self._fail(query)
         return self._commit(query, candidates, decision)
-
-    def _select(
-        self,
-        query: Query,
-        candidates: Sequence["Provider"],
-        ctx: AllocationContext,
-    ) -> AllocationDecision:
-        """Ask the policy for a decision; the fast engine overrides this."""
-        return self.policy.select(query, candidates, ctx)
 
     def _fail(self, query: Query) -> AllocationRecord:
         """No provider could perform the query: zero satisfaction, notify."""

@@ -1,10 +1,11 @@
 """The pluggable allocation-policy interface.
 
-Design decision D2 (DESIGN.md): every query-allocation technique --
-SbQA itself and all baselines -- implements one method,
-:meth:`AllocationPolicy.select`, mapping ``(query, P_q)`` to an
-:class:`AllocationDecision`.  The satisfaction model then analyses all
-of them uniformly, which is claim (i) of the paper: "the proposed
+Every query-allocation technique -- SbQA itself and all baselines --
+implements one decision mapping ``(query, P_q)`` to an
+:class:`AllocationDecision`: :meth:`AllocationPolicy.select_fast` for
+the built-in policies, either that or :meth:`AllocationPolicy.select`
+for a third-party one.  The satisfaction model then analyses all of
+them uniformly, which is claim (i) of the paper: "the proposed
 satisfaction model allows analyzing different query allocation
 techniques no matter their query allocation principle".
 
@@ -125,6 +126,10 @@ class FastAllocationDecision:
         return not self.allocated
 
 
+#: Each default delegates to the other, so a policy must override one.
+_OVERRIDE_ONE = "%s overrides neither select nor select_fast"
+
+
 class AllocationPolicy:
     """Base class of every allocation technique.
 
@@ -148,8 +153,14 @@ class AllocationPolicy:
 
         ``candidates`` is the non-empty capable set ``P_q``; the
         mediator handles the empty case before calling the policy.
+        This is the method the event engine and traced runs call: the
+        default is :meth:`select_fast`'s decision, and a policy that
+        writes trace lines overrides it to add them (only when
+        ``ctx.trace.enabled``) around that same decision.
         """
-        raise NotImplementedError
+        if type(self).select_fast is AllocationPolicy.select_fast:
+            raise NotImplementedError(_OVERRIDE_ONE % type(self).__name__)
+        return self.select_fast(query, candidates, ctx)
 
     def select_fast(
         self,
@@ -157,19 +168,19 @@ class AllocationPolicy:
         candidates: Sequence["Provider"],
         ctx: AllocationContext,
     ) -> "AllocationDecision":
-        """Hot-path :meth:`select`: same decision, fewer allocations.
+        """The decision itself, with no trace lines.
 
-        The fast engine (:mod:`repro.core.engine`) calls this instead
-        of :meth:`select` whenever tracing is off, so *every* policy is
-        covered by ``engine="fast"``.  The contract is strict
-        bit-parity: every float and every ordering must match what
-        :meth:`select` produces from the same state.  Two additional
-        hot-path assumptions the built-in overrides exploit:
+        The fast engine (:mod:`repro.core.engine`) calls this whenever
+        tracing is off.  A policy implements either method: the default
+        here delegates to :meth:`select`, and :meth:`select` to this.
+        Built-in policies implement this one and may rely on three
+        hot-path facts:
 
-        * ``candidates`` is an immutable snapshot (the registry's
-          reusable :meth:`~repro.system.registry.SystemRegistry.
-          capable_snapshot` tuple), so derived data may be cached on
-          its identity;
+        * ``candidates`` is usually an immutable snapshot (the
+          registry's reusable :meth:`~repro.system.registry.
+          SystemRegistry.capable_snapshot` tuple), so derived data may
+          be cached on the identity of a ``tuple`` -- never of a list,
+          which a caller may mutate between calls;
         * ``ctx.now`` equals the simulation clock of every candidate;
         * ``ctx.columns``, when not None, holds that snapshot's
           refreshed structure-of-arrays consultation state for
@@ -177,14 +188,13 @@ class AllocationPolicy:
           it instead of the provider objects (SbQA does) as long as the
           decision it returns is the same one, maps and their key order
           included.
-
-        The default delegates to :meth:`select`, so third-party
-        policies are correct (if not faster) out of the box.
         """
+        if type(self).select is AllocationPolicy.select:
+            raise NotImplementedError(_OVERRIDE_ONE % type(self).__name__)
         return self.select(query, candidates, ctx)
 
     def describe(self) -> Dict[str, object]:
-        """Human-readable parameterisation (reports, EXPERIMENTS.md)."""
+        """Human-readable parameterisation (what :func:`repr` shows)."""
         return {"name": self.name}
 
     def __repr__(self) -> str:

@@ -35,13 +35,7 @@ from repro.core.policy import (
     FastAllocationDecision,
     allocation_count,
 )
-from repro.core.scoring import (
-    DEFAULT_EPSILON,
-    ScoredProvider,
-    rank_providers,
-    score_providers_batch,
-    sqlb_score,
-)
+from repro.core.scoring import DEFAULT_EPSILON, score_providers_batch
 from repro.des.rng import RandomStream
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -119,70 +113,28 @@ class SbQAPolicy(AllocationPolicy):
         candidates: Sequence["Provider"],
         ctx: AllocationContext,
     ) -> AllocationDecision:
-        consumer = query.consumer
-        selection = self.selector.select(candidates)
-        working = list(selection.working)
-        if ctx.trace.enabled:
-            ctx.trace.record(
+        """:meth:`select_fast`'s decision, then its ``knbest`` and
+        ``sqlb`` trace lines when a recorder is listening."""
+        decision = self.select_fast(query, candidates, ctx)
+        trace = ctx.trace
+        if trace.enabled:
+            qid = query.qid
+            trace.record(
                 ctx.now,
                 "knbest",
-                f"query {query.qid}: |P_q|={len(candidates)} -> |K|={selection.k_effective} "
-                f"-> |Kn|={selection.kn_effective}",
-                qid=query.qid,
+                f"query {qid}: |P_q|={len(candidates)} -> "
+                f"|K|={decision.metadata['k_effective']} -> |Kn|={len(decision.informed)}",
+                qid=qid,
             )
-
-        consumer_satisfaction = consumer.satisfaction
-        scored = []
-        consumer_intentions = {}
-        provider_intentions = {}
-        omegas = {}
-        for provider in working:
-            pid = provider.participant_id
-            provider_intention = provider.intention_for(query)
-            consumer_intention = consumer.intention_for(query, provider)
-            omega = self.omega_policy.omega(consumer_satisfaction, provider.satisfaction)
-            score = sqlb_score(
-                provider_intention, consumer_intention, omega, self.config.epsilon
-            )
-            scored.append(
-                ScoredProvider(
-                    provider_id=pid,
-                    score=score,
-                    omega=omega,
-                    provider_intention=provider_intention,
-                    consumer_intention=consumer_intention,
-                )
-            )
-            consumer_intentions[pid] = consumer_intention
-            provider_intentions[pid] = provider_intention
-            omegas[pid] = omega
-
-        ranking = rank_providers(scored)
-        take = allocation_count(query, len(working))
-        by_id = {p.participant_id: p for p in working}
-        allocated = [by_id[entry.provider_id] for entry in ranking[:take]]
-        if ctx.trace.enabled:
-            chosen_ids = {entry.provider_id for entry in ranking[:take]}
-            ctx.trace.record(
+            # scores is keyed in ranking order
+            trace.record(
                 ctx.now,
                 "sqlb",
-                f"query {query.qid}: ranked {[e.provider_id for e in ranking]}, "
-                f"allocated {sorted(chosen_ids)}",
-                qid=query.qid,
+                f"query {qid}: ranked {list(decision.scores)}, "
+                f"allocated {sorted(p.participant_id for p in decision.allocated)}",
+                qid=qid,
             )
-
-        return AllocationDecision(
-            allocated=allocated,
-            informed=working,
-            consumer_intentions=consumer_intentions,
-            provider_intentions=provider_intentions,
-            scores={entry.provider_id: entry.score for entry in ranking},
-            omegas=omegas,
-            # one intention request + one reply per consulted provider,
-            # plus the same exchange with the consumer
-            consult_messages=2 * len(working) + 2,
-            metadata={"k_effective": selection.k_effective},
-        )
+        return decision
 
     def select_fast(
         self,
@@ -190,26 +142,24 @@ class SbQAPolicy(AllocationPolicy):
         candidates: Sequence["Provider"],
         ctx: AllocationContext,
     ) -> AllocationDecision:
-        """Hot-path :meth:`select`: identical decision, fewer allocations.
+        """The SbQA decision: KnBest sample, intention consultation,
+        per-pair omega, Definition-3 scores, rank, take ``min(n, kn)``.
 
-        Used by the fast engine (:mod:`repro.core.engine`) when tracing
-        is off.  The pipeline is the same -- KnBest sample, intention
-        consultation, per-pair omega, Definition-3 scores, rank, take
-        ``min(n, kn)`` -- but the whole ``Kn`` set is scored through
+        The whole ``Kn`` set is scored through
         :func:`~repro.core.scoring.score_providers_batch` (inputs
-        validated once), per-provider ``ScoredProvider`` objects are
-        never materialised, and a fixed omega is resolved outside the
-        loop.  Every float is produced by the same expressions in the
-        same order as :meth:`select`, so allocations, scores and omegas
-        are bit-identical.
+        validated once) and a fixed omega is resolved outside the loop;
+        every float equals what :func:`~repro.core.scoring.sqlb_score`
+        and :func:`~repro.core.scoring.rank_providers` give provider by
+        provider (the tests hold it to that reference).
 
         When the mediator hands over the snapshot's columns
         (``ctx.columns``) the decision is
         :meth:`~repro.core.soa.ConsultColumns.decision` -- the same
         arithmetic in snapshot ordinals, shared with the fused kernel,
         its maps built only if someone reads them.  The object route
-        below remains for model mixes the columns cannot encode, and as
-        the differential oracle the columns are tested against.
+        below serves the event engine, model mixes the columns cannot
+        encode, and is the differential oracle the columns are tested
+        against.
         """
         cols = ctx.columns
         if cols is not None:

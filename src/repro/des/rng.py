@@ -13,8 +13,8 @@ from a root seed and a string name via SHA-256, so:
 * streams with different names are statistically independent;
 * adding a new stream never perturbs existing ones.
 
-This is the substitution for SimJava's per-entity RNGs, and decision
-D1 of DESIGN.md (deterministic simulation).
+This is the substitution for SimJava's per-entity RNGs: same seed,
+bit-identical run.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ returns a :class:`ScenarioResult` whose :meth:`~ScenarioResult.report`
 prints the tables and curves the demo GUIs displayed.
 
 Scale parameters (``duration``, ``n_providers``, ``seed``) default to
-the DESIGN.md reference scale; benches pass smaller values.  Claims are
-*shape* checks: who wins, by roughly what factor -- absolute numbers
-depend on the simulated substrate and are recorded in EXPERIMENTS.md.
+the reference scale (2400 s, 120 providers); benches pass smaller
+values.  Claims are *shape* checks: who wins, by roughly what factor --
+absolute numbers depend on the simulated substrate.
 """
 
 from __future__ import annotations

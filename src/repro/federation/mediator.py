@@ -123,7 +123,9 @@ class _ShardForwarding:
         self.forwarded += 1
         # One candidate request/reply pair per contributing peer shard.
         self.coordination_messages += 2 * len(peers)
-        decision = self._forward_select(query, merged)
+        decision = self.policy.select(
+            query, merged, AllocationContext(now=self.now, trace=self.trace)
+        )
         if not decision.allocated:
             return self._fail(query)
         # _consultation_delay (called from _commit for consulting
@@ -133,9 +135,6 @@ class _ShardForwarding:
             return self._commit(query, merged, decision)
         finally:
             self._forward_peers = ()
-
-    def _forward_select(self, query, merged):  # pragma: no cover - abstract
-        raise NotImplementedError
 
     def _consultation_delay(self, consumer, informed) -> float:
         delay = super()._consultation_delay(consumer, informed)
@@ -170,23 +169,9 @@ class _ShardForwarding:
 class ShardMediator(_ShardForwarding, FastMediator):
     """One federation shard on the fast engine."""
 
-    def _forward_select(self, query, merged):
-        if self.trace.enabled:
-            return self.policy.select(
-                query, merged, AllocationContext(now=self.now, trace=self.trace)
-            )
-        ctx = self._ctx
-        ctx.now = self.now
-        return self._fast_select(query, merged, ctx)
-
 
 class EventShardMediator(_ShardForwarding, Mediator):
     """One federation shard on the event-faithful engine."""
-
-    def _forward_select(self, query, merged):
-        return self._select(
-            query, merged, AllocationContext(now=self.now, trace=self.trace)
-        )
 
 
 class Federation:

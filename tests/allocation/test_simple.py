@@ -76,6 +76,19 @@ class TestRoundRobinPolicy:
         decision = policy.select(factory.query(consumer, n_results=1), providers[:2], ctx())
         assert len(decision.allocated) == 1
 
+    def test_list_mutated_between_calls_is_resorted(self, factory):
+        """The id-sort cache keys on tuples only: a list edited in place
+        keeps its identity, so a cached order would be stale."""
+        a, b, c = (factory.provider(pid) for pid in ("a", "b", "c"))
+        consumer = factory.consumer()
+        policy = RoundRobinPolicy()
+        candidates = [a, c]
+        first = policy.select(factory.query(consumer, n_results=1), candidates, ctx())
+        assert first.allocated == [a]
+        candidates.insert(1, b)  # same list object, now ["a", "b", "c"]
+        second = policy.select(factory.query(consumer, n_results=1), candidates, ctx())
+        assert second.allocated == [b]
+
 
 class TestShortestQueuePolicy:
     def test_picks_smallest_backlog(self, factory):

@@ -2,8 +2,11 @@
 
 Three layers of evidence:
 
-* decision-level: ``SbQAPolicy.select_fast`` reproduces ``select``'s
-  allocation, scores, omegas and intentions exactly;
+* decision-level: ``SbQAPolicy.select_fast`` (the decision ``select``
+  returns too) reproduces a test-local restatement of KnBest + SQLB
+  over the public ``KnBestSelector.select``, ``sqlb_score`` and
+  ``rank_providers`` -- allocation, scores, omegas and intentions
+  exactly;
 * run-level: full experiment digests (``ExperimentResult.to_json``)
   are byte-identical between ``engine="fast"`` and ``engine="event"``
   across latency regimes, churn, crashes and policies -- while the
@@ -32,8 +35,11 @@ from repro.core.engine import (
     resolve_engine,
 )
 from repro.core.mediator import Mediator
-from repro.core.policy import AllocationContext
+from repro.core.knbest import KnBestSelector
+from repro.core.omega import make_omega_policy
+from repro.core.policy import AllocationContext, AllocationDecision, allocation_count
 from repro.core.sbqa import SbQAConfig, SbQAPolicy
+from repro.core.scoring import ScoredProvider, rank_providers, sqlb_score
 from repro.des.network import FixedLatency, Network, UniformLatency, ZeroLatency
 from repro.des.rng import RandomStream
 from repro.des.scheduler import Simulator
@@ -119,14 +125,50 @@ def build_micro_system(n_providers=60, seed=11, latency=None):
     return sim, network, registry, consumer, providers
 
 
+def reference_sbqa(selector, config, query, candidates):
+    """KnBest + SQLB provider by provider, from public functions only."""
+    consumer = query.consumer
+    omega_policy = make_omega_policy(config.omega)
+    selection = selector.select(candidates)
+    working = list(selection.working)
+    scored = []
+    for provider in working:
+        provider_intention = provider.intention_for(query)
+        consumer_intention = consumer.intention_for(query, provider)
+        omega = omega_policy.omega(consumer.satisfaction, provider.satisfaction)
+        scored.append(
+            ScoredProvider(
+                provider_id=provider.participant_id,
+                score=sqlb_score(provider_intention, consumer_intention, omega, config.epsilon),
+                omega=omega,
+                provider_intention=provider_intention,
+                consumer_intention=consumer_intention,
+            )
+        )
+    ranking = rank_providers(scored)
+    by_id = {p.participant_id: p for p in working}
+    take = allocation_count(query, len(working))
+    return AllocationDecision(
+        allocated=[by_id[entry.provider_id] for entry in ranking[:take]],
+        informed=working,
+        consumer_intentions={e.provider_id: e.consumer_intention for e in scored},
+        provider_intentions={e.provider_id: e.provider_intention for e in scored},
+        scores={entry.provider_id: entry.score for entry in ranking},
+        omegas={e.provider_id: e.omega for e in scored},
+        consult_messages=2 * len(working) + 2,
+        metadata={"k_effective": selection.k_effective},
+    )
+
+
 class TestSelectFastParity:
     @pytest.mark.parametrize("omega", ["adaptive", 0.0, 0.3, 1.0])
     def test_decision_equals_select(self, omega):
-        """select_fast reproduces select bit-for-bit, field by field."""
+        """select_fast reproduces the reference bit-for-bit, field by
+        field, maps' key order included."""
         sim, network, registry, consumer, providers = build_micro_system()
         config = SbQAConfig(k=15, kn=7, omega=omega)
-        # Same stream seed => both policies draw the same stage-1 sample.
-        slow = SbQAPolicy(config, RandomStream(3))
+        # Same stream seed => both draw the same stage-1 sample.
+        selector = KnBestSelector(config.k, config.kn, RandomStream(3))
         fast = SbQAPolicy(config, RandomStream(3))
         ctx = AllocationContext(now=0.0, trace=NULL_RECORDER)
         for round_index in range(30):
@@ -137,7 +179,7 @@ class TestSelectFastParity:
                 n_results=2,
                 issued_at=0.0,
             )
-            a = slow.select(query, providers, ctx)
+            a = reference_sbqa(selector, config, query, providers)
             b = fast.select_fast(query, providers, ctx)
             assert [p.participant_id for p in a.allocated] == [
                 p.participant_id for p in b.allocated
@@ -145,14 +187,14 @@ class TestSelectFastParity:
             assert [p.participant_id for p in a.informed] == [
                 p.participant_id for p in b.informed
             ]
-            assert a.scores == b.scores
+            assert list(a.scores.items()) == list(b.scores.items())
             assert a.omegas == b.omegas
             assert a.consumer_intentions == b.consumer_intentions
             assert a.provider_intentions == b.provider_intentions
             assert a.consult_messages == b.consult_messages
             assert a.metadata == b.metadata
             # Keep the state evolving so later rounds differ: record the
-            # proposals of the *reference* decision on both sides' state.
+            # proposals of the *reference* decision.
             for p in a.informed:
                 p.record_proposal(
                     a.provider_intentions[p.participant_id],
