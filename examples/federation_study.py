@@ -31,9 +31,9 @@ from repro.federation import ShardMap
 SPEC_PATH = Path(__file__).parent / "specs" / "federation_sweep.json"
 
 # ----------------------------------------------------------------------
-# 1. Declare: one axis, the shard count.  .shards(1) gives the base
-#    spec its federation block -- without it the axis path
-#    "federation.shards" has nothing to address and construction fails.
+# 1. Declare: one axis, the shard count.  .shards(1) makes the base
+#    spec's federation block explicit; without it the axis path
+#    "federation.shards" would start from FederationConfig() defaults.
 # ----------------------------------------------------------------------
 sweep = (
     Experiment.builder()

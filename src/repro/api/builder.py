@@ -23,9 +23,9 @@ are one override away instead of a hand-written configuration.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.api.presets import scenario_spec
 from repro.api.serialization import dataclass_kwargs
@@ -55,35 +55,27 @@ class ExperimentBuilder:
 
     Every method returns ``self``; :meth:`build` validates and freezes
     the result.  A builder can be seeded from an existing spec (its
-    state is copied, the source spec is never mutated).
+    state is copied, the source spec is never mutated).  The state is
+    one dict of :class:`ExperimentSpec` fields, validated only by
+    :meth:`build`, so a chain may pass through invalid combinations
+    (crash injection before its result timeout).
     """
 
     def __init__(self, spec: Optional[ExperimentSpec] = None) -> None:
         seeded = spec is not None
         spec = spec if seeded else ExperimentSpec()
-        self._name = spec.name
-        self._seed = spec.seed
-        self._duration = spec.duration
-        self._sample_interval = spec.sample_interval
-        self._engine = spec.engine
-        self._population = spec.population
-        self._autonomy = spec.autonomy
-        self._latency_low = spec.latency_low
-        self._latency_high = spec.latency_high
-        self._federation = spec.federation
-        self._failures = spec.failures
-        self._result_timeout = spec.result_timeout
-        self._adequation_over_candidates = spec.adequation_over_candidates
-        self._keep_records = spec.keep_records
-        self._track_provider_snapshots = spec.track_provider_snapshots
-        self._policies: List[PolicySpec] = list(spec.policies)
-        self._replications = spec.replications
+        self._state: Dict[str, Any] = {
+            f.name: getattr(spec, f.name) for f in fields(ExperimentSpec)
+        }
         # A blank builder starts with an *empty* policy list so
         # `.policy(...)` calls define the comparison; seeding from a
         # spec — any spec, including one equal to the defaults — keeps
         # its policies (still replaceable via clear_policies()).
-        if not seeded:
-            self._policies = []
+        self._state["policies"] = list(spec.policies) if seeded else []
+
+    def _set(self, **values) -> "ExperimentBuilder":
+        self._state.update(values)
+        return self
 
     # ------------------------------------------------------------------
     # Identity and horizon
@@ -91,23 +83,19 @@ class ExperimentBuilder:
 
     def named(self, name: str) -> "ExperimentBuilder":
         """Set the experiment name (report and export headings)."""
-        self._name = str(name)
-        return self
+        return self._set(name=str(name))
 
     def seed(self, seed: int) -> "ExperimentBuilder":
         """Set the root random seed all replications derive from."""
-        self._seed = int(seed)
-        return self
+        return self._set(seed=int(seed))
 
     def duration(self, seconds: float) -> "ExperimentBuilder":
         """Set the simulated horizon in seconds."""
-        self._duration = float(seconds)
-        return self
+        return self._set(duration=float(seconds))
 
     def sample_interval(self, seconds: float) -> "ExperimentBuilder":
         """Set the metric sweep period."""
-        self._sample_interval = float(seconds)
-        return self
+        return self._set(sample_interval=float(seconds))
 
     def engine(self, mode: str) -> "ExperimentBuilder":
         """Select the allocation runtime: ``"fast"`` or ``"event"``.
@@ -116,14 +104,11 @@ class ExperimentBuilder:
         produce bit-identical results; ``"event"`` is the equivalence
         escape hatch (see docs/performance.md).
         """
-        self._engine = str(mode)
-        return self
+        return self._set(engine=str(mode))
 
     def latency(self, low: float, high: float) -> "ExperimentBuilder":
         """Set the uniform network latency band (seconds)."""
-        self._latency_low = float(low)
-        self._latency_high = float(high)
-        return self
+        return self._set(latency_low=float(low), latency_high=float(high))
 
     # ------------------------------------------------------------------
     # Population and workload
@@ -132,8 +117,7 @@ class ExperimentBuilder:
     def population(self, **kwargs) -> "ExperimentBuilder":
         """Override any :class:`BoincScenarioParams` field by name."""
         kwargs = dataclass_kwargs(BoincScenarioParams, kwargs, "population")
-        self._population = replace(self._population, **kwargs)
-        return self
+        return self._set(population=replace(self._state["population"], **kwargs))
 
     def providers(self, n: int) -> "ExperimentBuilder":
         """Set the volunteer population size."""
@@ -150,7 +134,7 @@ class ExperimentBuilder:
         """Adjust the provider archetype fractions (must still sum to 1)."""
         fractions = dataclass_kwargs(ArchetypeMix, fractions, "archetype_mix")
         return self.population(
-            archetype_mix=replace(self._population.archetype_mix, **fractions)
+            archetype_mix=replace(self._state["population"].archetype_mix, **fractions)
         )
 
     def capacity(
@@ -235,8 +219,7 @@ class ExperimentBuilder:
     def autonomy(self, **kwargs) -> "ExperimentBuilder":
         """Override any :class:`AutonomyConfig` field by name."""
         kwargs = dataclass_kwargs(AutonomyConfig, kwargs, "autonomy")
-        self._autonomy = replace(self._autonomy, **kwargs)
-        return self
+        return self._set(autonomy=replace(self._state["autonomy"], **kwargs))
 
     def captive(self) -> "ExperimentBuilder":
         """Participants cannot leave (the paper's captive regime)."""
@@ -262,17 +245,18 @@ class ExperimentBuilder:
         Crash runs need a consumer ``result_timeout``; pass it here or
         via :meth:`result_timeout` (build() enforces the coupling).
         """
-        self._failures = FailureConfig(
-            mttf=float(mttf), repair_time=repair_time, start=float(start)
+        self._set(
+            failures=FailureConfig(
+                mttf=float(mttf), repair_time=repair_time, start=float(start)
+            )
         )
         if result_timeout is not None:
-            self._result_timeout = float(result_timeout)
+            self.result_timeout(result_timeout)
         return self
 
     def result_timeout(self, seconds: Optional[float]) -> "ExperimentBuilder":
         """Write off queries whose results do not arrive in time."""
-        self._result_timeout = None if seconds is None else float(seconds)
-        return self
+        return self._set(result_timeout=None if seconds is None else float(seconds))
 
     # ------------------------------------------------------------------
     # Federation
@@ -287,15 +271,13 @@ class ExperimentBuilder:
         accumulated config.
         """
         kwargs = dataclass_kwargs(FederationConfig, kwargs, "federation")
-        base = self._federation or FederationConfig()
-        self._federation = replace(base, **kwargs)
-        return self
+        base = self._state["federation"] or FederationConfig()
+        return self._set(federation=replace(base, **kwargs))
 
     def shards(self, k: Optional[int]) -> "ExperimentBuilder":
         """Set the mediator shard count (``None`` disables federation)."""
         if k is None:
-            self._federation = None
-            return self
+            return self._set(federation=None)
         return self.federation(shards=int(k))
 
     # ------------------------------------------------------------------
@@ -304,18 +286,15 @@ class ExperimentBuilder:
 
     def adequation_over_candidates(self, enabled: bool = True) -> "ExperimentBuilder":
         """Compute adequation over the whole capable set (costlier)."""
-        self._adequation_over_candidates = bool(enabled)
-        return self
+        return self._set(adequation_over_candidates=bool(enabled))
 
     def keep_records(self, enabled: bool = True) -> "ExperimentBuilder":
         """Retain every allocation record for post-run analysis."""
-        self._keep_records = bool(enabled)
-        return self
+        return self._set(keep_records=bool(enabled))
 
     def track_provider_snapshots(self, enabled: bool = True) -> "ExperimentBuilder":
         """Record per-provider satisfaction at every metric sweep."""
-        self._track_provider_snapshots = bool(enabled)
-        return self
+        return self._set(track_provider_snapshots=bool(enabled))
 
     # ------------------------------------------------------------------
     # Policies and replications
@@ -344,18 +323,16 @@ class ExperimentBuilder:
         """Add a pre-built :class:`PolicySpec` (sweeps, custom labels)."""
         if not isinstance(spec, PolicySpec):
             raise TypeError(f"expected a PolicySpec, got {type(spec).__name__}")
-        self._policies.append(spec)
+        self._state["policies"].append(spec)
         return self
 
     def clear_policies(self) -> "ExperimentBuilder":
         """Drop the accumulated policy list (preset overrides)."""
-        self._policies = []
-        return self
+        return self._set(policies=[])
 
     def replications(self, n: int) -> "ExperimentBuilder":
         """Run every policy this many times over independent seeds."""
-        self._replications = int(n)
-        return self
+        return self._set(replications=int(n))
 
     # ------------------------------------------------------------------
     # Terminal operations
@@ -366,26 +343,8 @@ class ExperimentBuilder:
 
         With no :meth:`policy` calls the spec defaults to SbQA alone.
         """
-        policies = tuple(self._policies) or (PolicySpec(name="sbqa"),)
-        return ExperimentSpec(
-            name=self._name,
-            seed=self._seed,
-            duration=self._duration,
-            sample_interval=self._sample_interval,
-            engine=self._engine,
-            population=self._population,
-            autonomy=self._autonomy,
-            latency_low=self._latency_low,
-            latency_high=self._latency_high,
-            federation=self._federation,
-            failures=self._failures,
-            result_timeout=self._result_timeout,
-            adequation_over_candidates=self._adequation_over_candidates,
-            keep_records=self._keep_records,
-            track_provider_snapshots=self._track_provider_snapshots,
-            policies=policies,
-            replications=self._replications,
-        )
+        policies = tuple(self._state["policies"]) or (PolicySpec(name="sbqa"),)
+        return ExperimentSpec(**dict(self._state, policies=policies))
 
     def session(self):
         """A :class:`~repro.api.session.Session` over the built spec."""

@@ -1,10 +1,12 @@
 """Dict <-> dataclass converters behind :class:`~repro.api.spec.ExperimentSpec`.
 
-Every configuration dataclass the experiment layer exposes gets a pair
-of converters here, so a whole experiment can round-trip through plain
-JSON-friendly dicts (``spec -> dict -> spec`` is the identity).  The
-converters validate keys eagerly and list the valid field names on a
-typo, mirroring :meth:`ExperimentConfig.with_overrides`.
+Every configuration dataclass the experiment layer exposes round-trips
+through plain JSON-friendly dicts (``spec -> dict -> spec`` is the
+identity).  A dataclass is encoded field by field: a per-field codec
+table names the fields whose values are not JSON scalars, and every
+other field serializes as itself -- so a new field needs no edit here.
+The converters validate keys eagerly and list the valid field names on
+a typo.
 
 Intention models are serialized through their canonical declarative
 form (see :func:`repro.core.intentions.consumer_intentions_to_spec`),
@@ -15,17 +17,17 @@ equal.
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
-from typing import Any, Dict, Optional, Type
+from dataclasses import fields, is_dataclass, replace
+from functools import partial
+from typing import Any, Callable, Dict, Tuple, Type
 
 from repro.core.intentions import (
     consumer_intentions_to_spec,
     provider_intentions_to_spec,
 )
 from repro.core.sbqa import SbQAConfig
-from repro.experiments.config import AutonomyConfig, PolicySpec
+from repro.experiments.config import PolicySpec
 from repro.federation.config import FederationConfig
-from repro.system.failures import FailureConfig
 from repro.workloads.boinc import (
     BoincScenarioParams,
     FocalConsumerSpec,
@@ -33,6 +35,10 @@ from repro.workloads.boinc import (
     ProjectSpec,
 )
 from repro.workloads.preferences import ArchetypeMix
+
+#: ``field name -> (encode, decode)`` for the fields of one dataclass
+#: whose values are not JSON scalars.
+Codecs = Dict[str, Tuple[Callable[[Any], Any], Callable[[Any], Any]]]
 
 
 def dataclass_kwargs(cls: Type, data: Dict[str, Any], what: str) -> Dict[str, Any]:
@@ -81,78 +87,60 @@ def versioned_payload(
     return payload
 
 
-def _scalar_dict(obj) -> Dict[str, Any]:
+def scalar_dict(obj) -> Dict[str, Any]:
     """Field dict of a dataclass whose values are all JSON scalars."""
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-# ----------------------------------------------------------------------
-# Leaf dataclasses (scalar fields only)
-# ----------------------------------------------------------------------
-
-project_spec_to_dict = _scalar_dict
-archetype_mix_to_dict = _scalar_dict
-focal_provider_to_dict = _scalar_dict
-focal_consumer_to_dict = _scalar_dict
-autonomy_to_dict = _scalar_dict
-failures_to_dict = _scalar_dict
-sbqa_config_to_dict = _scalar_dict
-federation_to_dict = _scalar_dict
+def scalar_from_dict(cls: Type, data: Dict[str, Any]):
+    """Inverse of :func:`scalar_dict` (keys validated)."""
+    return cls(**dataclass_kwargs(cls, data, cls.__name__))
 
 
-def project_spec_from_dict(data: Dict[str, Any]) -> ProjectSpec:
-    return ProjectSpec(**dataclass_kwargs(ProjectSpec, data, "ProjectSpec"))
+def scalar_codec(cls: Type):
+    """The ``(encode, decode)`` pair of a scalar-field dataclass."""
+    return scalar_dict, partial(scalar_from_dict, cls)
 
 
-def archetype_mix_from_dict(data: Dict[str, Any]) -> ArchetypeMix:
-    return ArchetypeMix(**dataclass_kwargs(ArchetypeMix, data, "ArchetypeMix"))
+def encode_fields(obj, codecs: Codecs, skip: "frozenset" = frozenset()) -> Dict[str, Any]:
+    """``obj``'s fields as a dict, codec-listed values encoded.
+
+    ``None`` (an unset optional block) stays ``None``; fields in
+    ``skip`` are left out.
+    """
+    data: Dict[str, Any] = {}
+    for f in fields(obj):
+        if f.name in skip:
+            continue
+        value = getattr(obj, f.name)
+        codec = codecs.get(f.name)
+        data[f.name] = value if codec is None or value is None else codec[0](value)
+    return data
 
 
-def focal_provider_from_dict(data: Dict[str, Any]) -> FocalProviderSpec:
-    return FocalProviderSpec(
-        **dataclass_kwargs(FocalProviderSpec, data, "FocalProviderSpec")
-    )
+def decode_fields(payload: Dict[str, Any], codecs: Codecs) -> Dict[str, Any]:
+    """Decode, in place, each codec-listed value of ``payload``.
 
-
-def focal_consumer_from_dict(data: Dict[str, Any]) -> FocalConsumerSpec:
-    return FocalConsumerSpec(
-        **dataclass_kwargs(FocalConsumerSpec, data, "FocalConsumerSpec")
-    )
-
-
-def autonomy_from_dict(data: Dict[str, Any]) -> AutonomyConfig:
-    return AutonomyConfig(**dataclass_kwargs(AutonomyConfig, data, "AutonomyConfig"))
-
-
-def failures_from_dict(data: Dict[str, Any]) -> FailureConfig:
-    return FailureConfig(**dataclass_kwargs(FailureConfig, data, "FailureConfig"))
-
-
-def sbqa_config_from_dict(data: Dict[str, Any]) -> SbQAConfig:
-    return SbQAConfig(**dataclass_kwargs(SbQAConfig, data, "SbQAConfig"))
-
-
-def federation_from_dict(data: Dict[str, Any]) -> FederationConfig:
-    return FederationConfig(
-        **dataclass_kwargs(FederationConfig, data, "FederationConfig")
-    )
-
-
-def optional_federation_from_dict(data) -> Optional[FederationConfig]:
-    if data is None or isinstance(data, FederationConfig):
-        return data
-    return federation_from_dict(data)
+    ``None`` and values that already are dataclass instances pass
+    through, so hand-built payloads may mix dicts and objects.
+    """
+    for name, (_, decode) in codecs.items():
+        value = payload.get(name)
+        if value is not None and not is_dataclass(value):
+            payload[name] = decode(value)
+    return payload
 
 
 # ----------------------------------------------------------------------
-# PolicySpec
+# PolicySpec: sparse on purpose -- result digests depend on an unset
+# ``sbqa`` / ``params`` being omitted, not written as null / {}.
 # ----------------------------------------------------------------------
 
 
 def policy_spec_to_dict(spec: PolicySpec) -> Dict[str, Any]:
     data: Dict[str, Any] = {"name": spec.name, "label": spec.label}
     if spec.sbqa is not None:
-        data["sbqa"] = sbqa_config_to_dict(spec.sbqa)
+        data["sbqa"] = scalar_dict(spec.sbqa)
     if spec.params:
         data["params"] = dict(spec.params)
     return data
@@ -164,7 +152,7 @@ def policy_spec_from_dict(data: Dict[str, Any]) -> PolicySpec:
         raise ValueError(f"PolicySpec dict needs a 'name' key, got {data!r}")
     sbqa = kwargs.get("sbqa")
     if isinstance(sbqa, dict):
-        kwargs["sbqa"] = sbqa_config_from_dict(sbqa)
+        kwargs["sbqa"] = scalar_from_dict(SbQAConfig, sbqa)
     kwargs.setdefault("label", "")
     kwargs["params"] = dict(kwargs.get("params") or {})
     return PolicySpec(**kwargs)
@@ -173,25 +161,6 @@ def policy_spec_from_dict(data: Dict[str, Any]) -> PolicySpec:
 # ----------------------------------------------------------------------
 # BoincScenarioParams (the population)
 # ----------------------------------------------------------------------
-
-#: Population fields that are plain JSON scalars.
-_POPULATION_SCALARS = (
-    "n_providers",
-    "capacity_mean",
-    "capacity_cv",
-    "demand_mean",
-    "demand_cv",
-    "demand_distribution",
-    "pareto_minimum",
-    "n_results",
-    "quorum",
-    "target_load",
-    "memory",
-    "memory_jitter",
-    "saturation_horizon",
-    "rt_reference",
-    "preferred_fraction",
-)
 
 
 def canonical_population(params: BoincScenarioParams) -> BoincScenarioParams:
@@ -210,55 +179,39 @@ def canonical_population(params: BoincScenarioParams) -> BoincScenarioParams:
     )
 
 
+def _identity(value):
+    return value
+
+
+_POPULATION_CODECS: Codecs = {
+    "projects": (
+        lambda projects: [scalar_dict(p) for p in projects],
+        lambda projects: tuple(
+            scalar_from_dict(ProjectSpec, p) if isinstance(p, dict) else p
+            for p in projects
+        ),
+    ),
+    "archetype_mix": scalar_codec(ArchetypeMix),
+    # Decoding is canonical_population's job (it accepts dict specs).
+    "consumer_intentions": (consumer_intentions_to_spec, _identity),
+    "provider_intentions": (provider_intentions_to_spec, _identity),
+    "focal_provider": scalar_codec(FocalProviderSpec),
+    "focal_consumer": scalar_codec(FocalConsumerSpec),
+}
+
+
 def population_to_dict(params: BoincScenarioParams) -> Dict[str, Any]:
-    data: Dict[str, Any] = {
-        name: getattr(params, name) for name in _POPULATION_SCALARS
-    }
-    data["projects"] = [project_spec_to_dict(p) for p in params.projects]
-    data["archetype_mix"] = archetype_mix_to_dict(params.archetype_mix)
-    data["consumer_intentions"] = consumer_intentions_to_spec(
-        params.consumer_intentions
-    )
-    data["provider_intentions"] = provider_intentions_to_spec(
-        params.provider_intentions
-    )
-    data["focal_provider"] = (
-        None
-        if params.focal_provider is None
-        else focal_provider_to_dict(params.focal_provider)
-    )
-    data["focal_consumer"] = (
-        None
-        if params.focal_consumer is None
-        else focal_consumer_to_dict(params.focal_consumer)
-    )
-    return data
+    return encode_fields(params, _POPULATION_CODECS)
 
 
 def population_from_dict(data: Dict[str, Any]) -> BoincScenarioParams:
     kwargs = dataclass_kwargs(BoincScenarioParams, data, "BoincScenarioParams")
-    if "projects" in kwargs:
-        kwargs["projects"] = tuple(
-            project_spec_from_dict(p) if isinstance(p, dict) else p
-            for p in kwargs["projects"]
-        )
-    if isinstance(kwargs.get("archetype_mix"), dict):
-        kwargs["archetype_mix"] = archetype_mix_from_dict(kwargs["archetype_mix"])
-    if isinstance(kwargs.get("focal_provider"), dict):
-        kwargs["focal_provider"] = focal_provider_from_dict(kwargs["focal_provider"])
-    if isinstance(kwargs.get("focal_consumer"), dict):
-        kwargs["focal_consumer"] = focal_consumer_from_dict(kwargs["focal_consumer"])
+    decode_fields(kwargs, _POPULATION_CODECS)
     return canonical_population(BoincScenarioParams(**kwargs))
 
 
-def optional_failures_from_dict(data) -> Optional[FailureConfig]:
-    if data is None or isinstance(data, FailureConfig):
-        return data
-    return failures_from_dict(data)
-
-
 # ----------------------------------------------------------------------
-# Dot-path overrides (the sweep layer's point expansion)
+# Dot-path overrides (derive, sweep points and the CLI flags)
 # ----------------------------------------------------------------------
 
 #: Fields of :class:`SbQAConfig` addressable through the ``sbqa.`` prefix.
@@ -272,9 +225,12 @@ def apply_spec_override(data: Dict[str, Any], path: str, value: Any) -> None:
 
     * a plain dot-path into the spec's dict form, e.g. ``"duration"``,
       ``"population.memory"``, ``"autonomy.rejoin_cooldown"`` or
-      ``"failures.mttf"`` -- every intermediate must be a dict and the
-      final key must already exist, so typos fail loudly instead of
-      being swallowed by ``from_dict``'s unknown-key check one level up;
+      ``"federation.shards"`` -- every intermediate must be a dict and
+      the final key must already exist, so typos fail loudly instead of
+      being swallowed by ``from_dict``'s unknown-key check one level up.
+      An unset ``federation`` block is materialized with
+      :class:`FederationConfig` defaults first; an unset ``failures``
+      block is an error;
     * ``"sbqa.<field>"`` fans the value out to every policy entry named
       ``sbqa`` (creating the explicit config dict when the policy relied
       on defaults), which is how a sweep axis varies ``omega``, ``kn``,
@@ -288,20 +244,19 @@ def apply_spec_override(data: Dict[str, Any], path: str, value: Any) -> None:
     node = data
     for depth, part in enumerate(parts[:-1]):
         child = node.get(part) if isinstance(node, dict) else None
+        if child is None and depth == 0 and part == "federation":
+            # Safe to start from defaults: one shard is bit-identical
+            # to none.  Not so for failures (crash injection would
+            # switch on), which stays an error below.
+            child = node[part] = scalar_dict(FederationConfig())
         if not isinstance(child, dict):
             where = ".".join(parts[: depth + 1])
-            if child is None and part == "failures":
-                hint = (
-                    " (the base spec has no failure injection; give it a "
-                    "failures block to sweep over it)"
-                )
-            elif child is None and part == "federation":
-                hint = (
-                    " (the base spec has no federation block; give it one "
-                    "-- e.g. {\"shards\": 1} -- to sweep over shard count)"
-                )
-            else:
-                hint = ""
+            hint = (
+                " (the base spec has no failure injection; give it a "
+                "failures block to sweep over it)"
+                if child is None and part == "failures"
+                else ""
+            )
             raise ValueError(
                 f"cannot apply override {path!r}: {where!r} is not a "
                 f"nested object in the spec{hint}"
@@ -309,12 +264,13 @@ def apply_spec_override(data: Dict[str, Any], path: str, value: Any) -> None:
         node = child
     leaf = parts[-1]
     if not isinstance(node, dict) or leaf not in node:
+        from repro.api.spec import ExperimentSpec
+
+        top = ", ".join(f.name for f in fields(ExperimentSpec))
         raise ValueError(
             f"cannot apply override {path!r}: no field {leaf!r} at that "
-            f"path. Top-level spec fields: name, seed, duration, "
-            f"sample_interval, population, autonomy, latency_low, "
-            f"latency_high, failures, result_timeout, policies, "
-            f"replications, ...; SbQA knobs use the 'sbqa.' prefix."
+            f"path. Top-level spec fields: {top}; SbQA knobs use the "
+            "'sbqa.' prefix."
         )
     node[leaf] = value
 
@@ -340,6 +296,5 @@ def _apply_sbqa_override(
         if not isinstance(config, dict):
             # The entry relied on the default SbQAConfig; materialize it
             # so a single field can be overridden.
-            config = sbqa_config_to_dict(SbQAConfig())
-            policy["sbqa"] = config
+            config = policy["sbqa"] = scalar_dict(SbQAConfig())
         config[field_name] = value

@@ -19,9 +19,8 @@ A session turns a declarative spec into results:
   ``step_until(t)`` execution with live inspection of the mediator and
   metrics hub.
 
-Workers receive the *serialized* spec (``spec.to_dict()``), which keeps
-the task payload picklable and exercises exactly the round-trip the
-spec layer guarantees.
+Workers receive the spec itself: it is plain data and pickles, engine
+included.
 """
 
 from __future__ import annotations
@@ -39,14 +38,15 @@ from repro.experiments.runner import LiveRun, RunResult, run_once, wire_run
 from repro.metrics.summary import RunSummary
 
 
-def _execute_task(payload: Tuple[dict, int, int]) -> Tuple[int, int, RunSummary]:
-    """Worker entry: one (policy, replication) run from a spec dict.
+def _execute_task(
+    payload: Tuple[ExperimentSpec, int, int]
+) -> Tuple[int, int, RunSummary]:
+    """Worker entry: one (policy, replication) run of a spec.
 
     Module-level so it pickles; returns the summary only (live
     simulation objects stay in the worker).
     """
-    spec_dict, policy_index, replication = payload
-    spec = ExperimentSpec.from_dict(spec_dict)
+    spec, policy_index, replication = payload
     config = spec.to_config()
     if config.keep_records:
         # Workers ship summaries back, never live runs, so retaining
@@ -57,7 +57,7 @@ def _execute_task(payload: Tuple[dict, int, int]) -> Tuple[int, int, RunSummary]
 
 
 def _execute_keyed_task(
-    payload: Tuple[dict, int, int, int]
+    payload: Tuple[ExperimentSpec, int, int, int]
 ) -> Tuple[int, int, int, RunSummary]:
     """Worker entry for sweeps: one run of one grid point.
 
@@ -65,8 +65,8 @@ def _execute_keyed_task(
     sweep point index) threaded through, so a single shared pool can
     interleave tasks of every point with no per-point barrier.
     """
-    spec_dict, key, policy_index, replication = payload
-    return (key, *_execute_task((spec_dict, policy_index, replication)))
+    spec, key, policy_index, replication = payload
+    return (key, *_execute_task((spec, policy_index, replication)))
 
 
 def resolve_worker_count(max_workers: Optional[int], task_count: int) -> int:
@@ -348,12 +348,8 @@ class Session:
     def _parallel_events(
         self, max_workers: Optional[int]
     ) -> Iterator[Tuple[int, int, RunSummary]]:
-        spec_dict = self.spec.to_dict()
-        # to_dict() omits the engine (execution metadata, kept out of
-        # digests); workers must still run the session's engine.
-        spec_dict["engine"] = self.spec.engine
         payloads = [
-            (spec_dict, policy_index, replication)
+            (self.spec, policy_index, replication)
             for policy_index, replication in self.tasks()
         ]
         workers = resolve_worker_count(max_workers, len(payloads))

@@ -23,70 +23,57 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.api.serialization import (
-    autonomy_from_dict,
-    autonomy_to_dict,
+    Codecs,
+    apply_spec_override,
     canonical_population,
-    failures_to_dict,
-    federation_to_dict,
-    optional_failures_from_dict,
-    optional_federation_from_dict,
+    decode_fields,
+    encode_fields,
     policy_spec_from_dict,
     policy_spec_to_dict,
     population_from_dict,
     population_to_dict,
+    scalar_codec,
     versioned_payload,
 )
-from repro.experiments.config import (
-    AutonomyConfig,
-    DEFAULT_SEED,
-    ExperimentConfig,
-    PolicySpec,
-)
+from repro.experiments.config import AutonomyConfig, ExperimentConfig, PolicySpec
 from repro.federation.config import FederationConfig
 from repro.system.failures import FailureConfig
-from repro.workloads.boinc import BoincScenarioParams
 
 #: Format tag written into serialized specs; bump on breaking layout
 #: changes so old files fail loudly instead of silently misparsing.
 SPEC_VERSION = 1
 
+#: JSON codecs of the spec fields whose values are not JSON scalars.
+_CODECS: Codecs = {
+    "population": (population_to_dict, population_from_dict),
+    "autonomy": scalar_codec(AutonomyConfig),
+    "federation": scalar_codec(FederationConfig),
+    "failures": scalar_codec(FailureConfig),
+    "policies": (
+        lambda policies: [policy_spec_to_dict(p) for p in policies],
+        lambda policies: tuple(
+            policy_spec_from_dict(p) if isinstance(p, dict) else p
+            for p in policies
+        ),
+    ),
+}
+
+#: Execution metadata: results are bit-identical on either engine, so
+#: result digests must not depend on it and :meth:`to_dict` leaves it
+#: out (:meth:`from_dict` still accepts it for hand-written files).
+_EXECUTION_FIELDS = frozenset({"engine"})
+
 
 @dataclass
-class ExperimentSpec:
+class ExperimentSpec(ExperimentConfig):
     """A fully declarative experiment: config + policies + replications.
 
-    The first block of fields mirrors
-    :class:`~repro.experiments.config.ExperimentConfig` one-to-one (see
-    :meth:`to_config`); ``policies`` and ``replications`` describe the
-    comparison on top: every policy runs ``replications`` times, each
-    replication deriving an independent random root from ``seed``.
+    Every configuration field is inherited from
+    :class:`~repro.experiments.config.ExperimentConfig`; on top,
+    every policy runs ``replications`` times, each replication deriving
+    an independent random root from ``seed``.
     """
 
-    name: str = "experiment"
-    seed: int = DEFAULT_SEED
-    duration: float = 2400.0
-    sample_interval: float = 10.0
-    #: Allocation runtime: "fast" (hot-path engine, the default) or
-    #: "event" (event-faithful reference).  Results are bit-identical
-    #: either way, so the engine is *execution* metadata: like
-    #: ``SweepResult.parallel`` it stays out of :meth:`to_dict` (result
-    #: digests must not depend on how a spec was executed), though
-    #: :meth:`from_dict` accepts it for hand-written spec files.
-    engine: str = "fast"
-    population: BoincScenarioParams = field(default_factory=BoincScenarioParams)
-    autonomy: AutonomyConfig = field(default_factory=AutonomyConfig)
-    latency_low: float = 0.02
-    latency_high: float = 0.08
-    #: Sharded multi-mediator federation; None = classic single
-    #: mediator.  Unlike ``engine`` this is a *scenario* knob (K>1
-    #: changes results), so it serializes and is sweepable as
-    #: ``federation.shards``.
-    federation: Optional[FederationConfig] = None
-    failures: Optional[FailureConfig] = None
-    result_timeout: Optional[float] = None
-    adequation_over_candidates: bool = False
-    keep_records: bool = False
-    track_provider_snapshots: bool = False
     # default_factory: PolicySpec is frozen but its params dict is not,
     # so a shared class-level default instance would let one spec's
     # mutation poison every other default-constructed spec.
@@ -111,33 +98,18 @@ class ExperimentSpec:
             raise ValueError(
                 f"need at least one replication, got {self.replications}"
             )
-        # Delegate the cross-field invariants (latency band, failure /
-        # timeout coupling, positive durations) to ExperimentConfig so
-        # a spec that constructs is a spec that runs.
-        self.to_config()
+        # The cross-field invariants (latency band, failure / timeout
+        # coupling, positive durations): a spec that constructs runs.
+        super().__post_init__()
 
     # ------------------------------------------------------------------
     # Bridges to the imperative layer
     # ------------------------------------------------------------------
 
     def to_config(self) -> ExperimentConfig:
-        """The :class:`ExperimentConfig` this spec describes."""
+        """The plain :class:`ExperimentConfig` this spec describes."""
         return ExperimentConfig(
-            name=self.name,
-            seed=self.seed,
-            duration=self.duration,
-            sample_interval=self.sample_interval,
-            engine=self.engine,
-            population=self.population,
-            autonomy=self.autonomy,
-            latency_low=self.latency_low,
-            latency_high=self.latency_high,
-            federation=self.federation,
-            failures=self.failures,
-            result_timeout=self.result_timeout,
-            adequation_over_candidates=self.adequation_over_candidates,
-            keep_records=self.keep_records,
-            track_provider_snapshots=self.track_provider_snapshots,
+            **{f.name: getattr(self, f.name) for f in fields(ExperimentConfig)}
         )
 
     @classmethod
@@ -160,26 +132,25 @@ class ExperimentSpec:
         overrides: "Dict[str, Any]",
         name: Optional[str] = None,
     ) -> "ExperimentSpec":
-        """A copy with dot-path ``overrides`` applied (sweep points).
+        """A copy with dot-path ``overrides`` applied.
 
-        Overrides address the spec's dict form (``"duration"``,
-        ``"population.n_providers"``, ``"failures.mttf"``); the
-        ``"sbqa.<field>"`` form fans out to every SbQA policy entry --
-        see :func:`repro.api.serialization.apply_spec_override`.  The
+        The one way to move a spec: sweep points and every CLI flag go
+        through it.  Overrides address the spec's dict form
+        (``"duration"``, ``"population.n_providers"``,
+        ``"federation.shards"``, ``"engine"``); the ``"sbqa.<field>"``
+        form fans out to every SbQA policy entry -- see
+        :func:`repro.api.serialization.apply_spec_override`.  The
         derived spec re-validates from scratch, so an override that
         breaks a cross-field invariant fails here, not mid-run.
         """
-        from repro.api.serialization import apply_spec_override
-
-        data = self.to_dict()
-        # to_dict() deliberately omits the engine (execution metadata);
-        # a derived spec must still run on the same engine as its base.
-        data["engine"] = self.engine
+        # The engine is not in to_dict(), but a derived spec runs on
+        # its base's engine unless an override says otherwise.
+        data = dict(self.to_dict(), engine=self.engine)
+        if name is not None:
+            overrides = dict(overrides, name=name)
         for path, value in overrides.items():
             apply_spec_override(data, path, value)
-        if name is not None:
-            data["name"] = name
-        return ExperimentSpec.from_dict(data)
+        return type(self).from_dict(data)
 
     def policy(self, label: str) -> PolicySpec:
         """The policy with the given label (KeyError if absent)."""
@@ -198,28 +169,7 @@ class ExperimentSpec:
         """JSON-friendly dict; inverse of :meth:`from_dict`."""
         return {
             "spec_version": SPEC_VERSION,
-            "name": self.name,
-            "seed": self.seed,
-            "duration": self.duration,
-            "sample_interval": self.sample_interval,
-            "population": population_to_dict(self.population),
-            "autonomy": autonomy_to_dict(self.autonomy),
-            "latency_low": self.latency_low,
-            "latency_high": self.latency_high,
-            "federation": (
-                None
-                if self.federation is None
-                else federation_to_dict(self.federation)
-            ),
-            "failures": (
-                None if self.failures is None else failures_to_dict(self.failures)
-            ),
-            "result_timeout": self.result_timeout,
-            "adequation_over_candidates": self.adequation_over_candidates,
-            "keep_records": self.keep_records,
-            "track_provider_snapshots": self.track_provider_snapshots,
-            "policies": [policy_spec_to_dict(p) for p in self.policies],
-            "replications": self.replications,
+            **encode_fields(self, _CODECS, skip=_EXECUTION_FIELDS),
         }
 
     @classmethod
@@ -232,20 +182,7 @@ class ExperimentSpec:
             version=SPEC_VERSION,
             valid_fields=frozenset(f.name for f in fields(cls)),
         )
-        if isinstance(payload.get("population"), dict):
-            payload["population"] = population_from_dict(payload["population"])
-        if isinstance(payload.get("autonomy"), dict):
-            payload["autonomy"] = autonomy_from_dict(payload["autonomy"])
-        payload["failures"] = optional_failures_from_dict(payload.get("failures"))
-        payload["federation"] = optional_federation_from_dict(
-            payload.get("federation")
-        )
-        if "policies" in payload:
-            payload["policies"] = tuple(
-                policy_spec_from_dict(p) if isinstance(p, dict) else p
-                for p in payload["policies"]
-            )
-        return cls(**payload)
+        return cls(**decode_fields(payload, _CODECS))
 
     def to_json(self, indent: int = 2) -> str:
         """The spec as a JSON document."""

@@ -553,15 +553,10 @@ class SweepSession:
     def _parallel_events(
         self, max_workers: Optional[int]
     ) -> Iterator[Tuple[int, int, int, RunSummary, Optional["RunResult"]]]:
-        payloads = []
-        # to_dict() omits the engine (execution metadata, kept out of
-        # digests); workers must still run each point's engine.
-        spec_dicts = {
-            point.index: dict(point.spec.to_dict(), engine=point.spec.engine)
-            for point in self.points
-        }
-        for key, policy_index, replication in self.tasks():
-            payloads.append((spec_dicts[key], key, policy_index, replication))
+        payloads = [
+            (self.points[key].spec, key, policy_index, replication)
+            for key, policy_index, replication in self.tasks()
+        ]
         workers = resolve_worker_count(max_workers, len(payloads))
         with ProcessPoolExecutor(max_workers=workers) as executor:
             futures = [

@@ -974,17 +974,7 @@ class TuneSession:
         futures = [
             executor.submit(
                 _execute_keyed_task,
-                (
-                    # engine rides along explicitly: to_dict() omits it
-                    # (execution metadata, kept out of digests).
-                    dict(
-                        self.points[index].spec.to_dict(),
-                        engine=self.points[index].spec.engine,
-                    ),
-                    index,
-                    policy_index,
-                    replication,
-                ),
+                (self.points[index].spec, index, policy_index, replication),
             )
             for index, policy_index, replication in tasks
         ]

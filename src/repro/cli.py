@@ -520,33 +520,36 @@ def _print_shard_placement(session, requested: Optional[int]) -> None:
         print(note, file=sys.stderr)
 
 
-def _override_base(builder, args: argparse.Namespace):
-    """Apply the base-experiment flags ``run`` and ``sweep`` share.
+#: Base-experiment flag -> the spec dot path it overrides.  Every flag
+#: reaches an experiment through ``ExperimentSpec.derive``; an unset
+#: ``federation`` block is materialized with its defaults first.
+_FLAG_PATHS = {
+    "seed": "seed",
+    "duration": "duration",
+    "providers": "population.n_providers",
+    "replications": "replications",
+    "engine": "engine",
+    "shards": "federation.shards",
+}
 
-    The builder rebuilds the spec, so ``__post_init__`` re-validates
-    the overridden combination.
-    """
-    if args.seed is not None:
-        builder.seed(args.seed)
-    if args.duration is not None:
-        builder.duration(args.duration)
-    if args.providers is not None:
-        builder.providers(args.providers)
-    if args.replications is not None:
-        builder.replications(args.replications)
-    if args.engine is not None:
-        builder.engine(args.engine)
-    if args.shards is not None:
-        builder.shards(args.shards)
-    return builder
+
+def _flag_overrides(args: argparse.Namespace, *flags: str) -> dict:
+    """The dot-path overrides of the given (default: all) flags that
+    were passed; flags a subcommand lacks count as not passed."""
+    return {
+        _FLAG_PATHS[flag]: getattr(args, flag)
+        for flag in flags or _FLAG_PATHS
+        if getattr(args, flag, None) is not None
+    }
 
 
 def _run_spec_file(args: argparse.Namespace) -> int:
     """``sbqa run --spec experiment.json``: the declarative entry point."""
-    from repro.api.builder import Experiment
+    from repro.api.session import Session
+    from repro.api.spec import ExperimentSpec
 
     try:
-        builder = Experiment.load(args.spec)
+        spec = ExperimentSpec.load(args.spec)
     except OSError as err:
         print(f"error: cannot read spec file: {err}", file=sys.stderr)
         return 2
@@ -554,7 +557,7 @@ def _run_spec_file(args: argparse.Namespace) -> int:
         print(f"error: invalid spec {args.spec}: {err}", file=sys.stderr)
         return 2
     try:
-        session = _override_base(builder, args).session()
+        session = Session(spec.derive(_flag_overrides(args)))
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -577,22 +580,16 @@ def _run_session(args: argparse.Namespace) -> int:
     from repro.api.presets import scenario_spec
     from repro.api.session import Session
 
-    from repro.api.builder import ExperimentBuilder
-
+    # seed / duration / providers / replications are preset parameters
+    # (the autonomy warmup follows the duration); the rest are overrides.
     kwargs = _scenario_kwargs(args)
     if args.replications is not None:
         kwargs["replications"] = args.replications
+    overrides = _flag_overrides(args, "engine", "shards")
     names = sorted(ALL_SCENARIOS) if args.scenario == "all" else [args.scenario]
     for name in names:
         try:
-            spec = scenario_spec(name, **kwargs)
-            if args.engine is not None or args.shards is not None:
-                spec_builder = ExperimentBuilder(spec)
-                if args.engine is not None:
-                    spec_builder.engine(args.engine)
-                if args.shards is not None:
-                    spec_builder.shards(args.shards)
-                spec = spec_builder.build()
+            spec = scenario_spec(name, **kwargs).derive(overrides)
         except ValueError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
@@ -765,7 +762,7 @@ _QUICK_SWEEP_AXES = {
 
 def _quick_sweep_spec(args: argparse.Namespace):
     """The quick form (``sbqa sweep kn --values 1,2,5``) as a SweepSpec."""
-    from repro.api.builder import Experiment
+    from repro.api.spec import ExperimentSpec
     from repro.api.sweep import SweepAxis, SweepSpec
 
     raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
@@ -776,23 +773,17 @@ def _quick_sweep_spec(args: argparse.Namespace):
     # The caller filled in the quick-form --duration/--providers
     # defaults; an explicit --replications 0 reaches spec validation
     # and errors out, matching the --spec path.
-    builder = _override_base(
-        Experiment.builder()
-        .named(f"sweep-{args.parameter}")
-        .policy("sbqa", k=args.k, kn=max(1, args.k // 2)),
-        args,
+    base = ExperimentSpec(name=f"sweep-{args.parameter}").derive(
+        {"sbqa.k": args.k, "sbqa.kn": max(1, args.k // 2), **_flag_overrides(args)}
     )
     axis = SweepAxis(path=path, values=values, label=args.parameter)
-    return SweepSpec(
-        name=f"sweep-{args.parameter}", base=builder.build(), axes=(axis,)
-    )
+    return SweepSpec(name=f"sweep-{args.parameter}", base=base, axes=(axis,))
 
 
 def _sweep_spec_from_file(args: argparse.Namespace):
     """Load ``--spec grid.json``, applying base overrides.
 
-    ``--seed``, ``--duration``, ``--providers``, ``--replications``,
-    ``--engine`` and ``--shards`` rewrite the loaded grid's *base*
+    The base-experiment flags rewrite the loaded grid's *base*
     experiment, exactly as ``sbqa run --spec`` does; everything else in
     the file (axes, ``keep_runs``) is kept.  Points re-expand and
     re-validate around the overridden base (the spec caches its
@@ -800,12 +791,10 @@ def _sweep_spec_from_file(args: argparse.Namespace):
     """
     from dataclasses import replace
 
-    from repro.api.builder import ExperimentBuilder
     from repro.api.sweep import SweepSpec
 
     spec = SweepSpec.load(args.spec)
-    base = _override_base(ExperimentBuilder(spec.base), args).build()
-    return replace(spec, base=base)
+    return replace(spec, base=spec.base.derive(_flag_overrides(args)))
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
@@ -911,8 +900,11 @@ def _tune_spec_from_file(args: argparse.Namespace):
     ``--budget`` / ``--alpha`` / ``--objective`` rebuild the spec, so
     ``__post_init__`` re-validates the overridden combination (a budget
     too small for the first rung fails here, not mid-race).  A
-    ``--budget`` of 0 lifts the cap entirely.
+    ``--budget`` of 0 lifts the cap entirely.  ``--engine`` is a
+    dot-path override of the search space's base experiment.
     """
+    from dataclasses import replace
+
     from repro.api.tune import TuneSpec
 
     spec = TuneSpec.load(args.spec)
@@ -932,7 +924,9 @@ def _tune_spec_from_file(args: argparse.Namespace):
         changed = True
     if changed:
         spec = TuneSpec.from_dict(data)
-    return spec
+    # Last: to_dict() above leaves the engine out.
+    base = spec.sweep.base.derive(_flag_overrides(args, "engine"))
+    return replace(spec, sweep=replace(spec.sweep, base=base))
 
 
 def _run_tune(args: argparse.Namespace) -> int:
@@ -947,12 +941,6 @@ def _run_tune(args: argparse.Namespace) -> int:
         return 2
     try:
         spec = _tune_spec_from_file(args)
-        if args.engine is not None:
-            from repro.api.tune import TuneSpec
-
-            data = spec.to_dict()
-            data["sweep"]["base"]["engine"] = args.engine
-            spec = TuneSpec.from_dict(data)
     except OSError as err:
         print(f"error: cannot read tune spec: {err}", file=sys.stderr)
         return 2
@@ -1012,39 +1000,29 @@ def _serve_config(args: argparse.Namespace):
     From ``--spec`` when given (``--policy`` selects among its policies
     by label), else the paper population under an SbQA mediator.
     """
-    from repro.experiments.config import ExperimentConfig, PolicySpec
+    from repro.api.spec import ExperimentSpec
+    from repro.experiments.config import PolicySpec
 
+    overrides = _flag_overrides(args, "seed", "duration")
     if args.spec is not None:
-        from repro.api.spec import ExperimentSpec
-
         spec = ExperimentSpec.load(args.spec)
-        config = spec.to_config()
-        if args.policy is None:
-            policy = spec.policies[0]
-        else:
-            matches = [p for p in spec.policies if p.label == args.policy]
-            if not matches:
-                raise ValueError(
-                    f"spec has no policy labelled {args.policy!r}; available: "
-                    f"{', '.join(p.label for p in spec.policies)}"
-                )
-            policy = matches[0]
     else:
-        config = ExperimentConfig(name="serve")
-        policy = PolicySpec(name="sbqa" if args.policy is None else args.policy)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    duration = getattr(args, "duration", None)
-    if duration is not None:
-        overrides["duration"] = duration
-    elif args.spec is None and getattr(args, "command", "") == "serve":
-        overrides["duration"] = 3600.0
-    if overrides:
-        from dataclasses import replace
-
-        config = replace(config, **overrides)
-    return config, policy
+        name = "sbqa" if args.policy is None else args.policy
+        spec = ExperimentSpec(name="serve", policies=(PolicySpec(name=name),))
+        if args.command == "serve":
+            overrides.setdefault("duration", 3600.0)
+    spec = spec.derive(overrides)
+    if args.policy is None or args.spec is None:
+        policy = spec.policies[0]
+    else:
+        matches = [p for p in spec.policies if p.label == args.policy]
+        if not matches:
+            raise ValueError(
+                f"spec has no policy labelled {args.policy!r}; available: "
+                f"{', '.join(p.label for p in spec.policies)}"
+            )
+        policy = matches[0]
+    return spec.to_config(), policy
 
 
 def _run_workload(args: argparse.Namespace) -> int:

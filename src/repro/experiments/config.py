@@ -8,7 +8,7 @@ definitions, benches and the CLI share them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.core.sbqa import SbQAConfig
@@ -137,22 +137,3 @@ class ExperimentConfig:
                 "crash injection requires a result_timeout: lost results "
                 "would otherwise leave queries pending forever"
             )
-
-    def with_overrides(self, **kwargs) -> "ExperimentConfig":
-        """A copy with top-level fields replaced (scenario variants).
-
-        Unknown keys raise immediately with the list of valid field
-        names, instead of surfacing as a cryptic ``TypeError`` from
-        :func:`dataclasses.replace` (typos like ``durration=`` or
-        nested fields like ``n_providers=`` are the common mistakes).
-        """
-        valid = {f.name for f in fields(self)}
-        unknown = sorted(set(kwargs) - valid)
-        if unknown:
-            raise ValueError(
-                f"unknown ExperimentConfig field(s): {', '.join(unknown)}. "
-                f"Valid fields: {', '.join(sorted(valid))}. "
-                "Population knobs (e.g. n_providers) live on "
-                "config.population (BoincScenarioParams)."
-            )
-        return replace(self, **kwargs)

@@ -56,6 +56,8 @@ class TestSpecEngineField:
         derived = spec.derive({"duration": 60.0})
         assert derived.engine == "event"
         assert derived.duration == 60.0
+        # ... unless the override moves it (the CLI's --engine).
+        assert spec.derive({"engine": "fast"}).engine == "fast"
 
     def test_sweep_points_inherit_base_engine(self):
         sweep = SweepSpec(

@@ -1,6 +1,7 @@
 """Session execution: serial/parallel parity, live stepping, results."""
 
 import json
+import pickle
 
 import pytest
 
@@ -65,10 +66,10 @@ class TestParallel:
             Session(SPEC).run(parallel=True, keep_runs=True)
 
     def test_worker_task_is_self_contained(self):
-        """The worker rebuilds the run from the serialized spec alone."""
-        policy_index, replication, summary = _execute_task(
-            (SPEC.to_dict(), 1, 1)
-        )
+        """The worker rebuilds the run from the pickled spec alone."""
+        shipped = pickle.loads(pickle.dumps(SPEC))
+        assert shipped == SPEC
+        policy_index, replication, summary = _execute_task((shipped, 1, 1))
         assert (policy_index, replication) == (1, 1)
         expected = run_once(SPEC.to_config(), SPEC.policies[1], replication=1)
         assert summary.as_dict() == expected.summary.as_dict()

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.api.builder import ExperimentBuilder
 from repro.api.presets import available_scenarios, scenario_spec
 from repro.api.spec import ExperimentSpec
 from repro.core.intentions import (
@@ -13,6 +14,7 @@ from repro.core.intentions import (
 )
 from repro.core.sbqa import SbQAConfig
 from repro.experiments.config import AutonomyConfig, PolicySpec
+from repro.federation.config import FederationConfig
 from repro.system.failures import FailureConfig
 from repro.workloads.boinc import (
     BoincScenarioParams,
@@ -43,6 +45,7 @@ def _rich_spec() -> ExperimentSpec:
         autonomy=AutonomyConfig(mode="autonomous", rejoin_cooldown=60.0),
         latency_low=0.01,
         latency_high=0.05,
+        federation=FederationConfig(shards=3, partition="topic", forward_threshold=4),
         failures=FailureConfig(mttf=500.0, repair_time=None, start=30.0),
         result_timeout=200.0,
         adequation_over_candidates=True,
@@ -57,10 +60,29 @@ def _rich_spec() -> ExperimentSpec:
     )
 
 
+@dataclasses.dataclass
+class _TaggedSpec(ExperimentSpec):
+    """A spec with one more scalar field, and no other edit anywhere."""
+
+    tag: str = "untagged"
+
+
 class TestRoundTrip:
     def test_dict_round_trip_identity(self):
         spec = _rich_spec()
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+        assert ExperimentBuilder(spec).build() == spec
+
+    def test_a_new_field_reaches_json_and_overrides(self):
+        """Serialization and derive are driven by fields(), not lists."""
+        spec = _TaggedSpec(tag="a")
+        data = spec.to_dict()
+        assert data["tag"] == "a"
+        assert _TaggedSpec.from_dict(data) == spec
+        derived = spec.derive({"tag": "b"})
+        assert isinstance(derived, _TaggedSpec)
+        assert derived.tag == "b"
+        assert derived == dataclasses.replace(spec, tag="b")
 
     def test_json_round_trip_identity(self):
         spec = _rich_spec()
@@ -187,6 +209,11 @@ class TestBridges:
             spec.to_config(), spec.policies, replications=spec.replications
         )
         assert lifted == spec
+
+    def test_derive_materialises_an_unset_federation(self):
+        # One shard is bit-identical to none, so defaults are safe.
+        spec = ExperimentSpec().derive({"federation.shards": 2})
+        assert spec.federation == FederationConfig(shards=2)
 
     def test_policy_lookup(self):
         spec = _rich_spec()

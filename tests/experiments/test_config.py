@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.spec import ExperimentSpec
 from repro.core.sbqa import SbQAConfig
 from repro.experiments.config import AutonomyConfig, ExperimentConfig, PolicySpec
 
@@ -53,21 +54,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="latency"):
             ExperimentConfig(latency_low=0.5, latency_high=0.1)
 
-    def test_with_overrides(self):
-        config = ExperimentConfig(name="a", duration=100.0)
-        other = config.with_overrides(duration=50.0)
-        assert other.duration == 50.0
-        assert other.name == "a"
-        assert config.duration == 100.0  # original untouched
+    # The two checks of the retired ``with_overrides``, now held by the
+    # one override path, ``ExperimentSpec.derive``.
 
     def test_with_overrides_rejects_unknown_field(self):
-        config = ExperimentConfig()
         with pytest.raises(ValueError) as err:
-            config.with_overrides(durration=50.0)
+            ExperimentSpec().derive({"durration": 50.0})
         message = str(err.value)
         assert "durration" in message
-        assert "duration" in message  # valid names are listed
+        assert "duration" in message and "population" in message  # valid names
 
     def test_with_overrides_points_nested_fields_at_population(self):
         with pytest.raises(ValueError, match="population"):
-            ExperimentConfig().with_overrides(n_providers=10)
+            ExperimentSpec().derive({"n_providers": 10})

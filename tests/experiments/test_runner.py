@@ -1,5 +1,7 @@
 """Integration tests for the experiment runner (small scale)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.config import AutonomyConfig, ExperimentConfig, PolicySpec
@@ -59,7 +61,8 @@ class TestRunOnce:
         assert result.summary.providers_remaining == 15
 
     def test_autonomous_run_can_shed_providers(self):
-        config = TINY.with_overrides(
+        config = replace(
+            TINY,
             duration=600.0,
             autonomy=AutonomyConfig(mode="autonomous", warmup=100.0, min_observations=10),
         )
@@ -105,13 +108,15 @@ class TestRunPolicies:
 
 class TestRejoinExtension:
     def test_rejoin_recovers_population(self):
-        base = TINY.with_overrides(
+        base = replace(
+            TINY,
             duration=800.0,
             autonomy=AutonomyConfig(
                 mode="autonomous", warmup=100.0, min_observations=10
             ),
         )
-        with_rejoin = TINY.with_overrides(
+        with_rejoin = replace(
+            TINY,
             duration=800.0,
             autonomy=AutonomyConfig(
                 mode="autonomous",
@@ -131,7 +136,8 @@ class TestRejoinExtension:
         )
 
     def test_rejoin_events_reach_the_hub(self):
-        config = TINY.with_overrides(
+        config = replace(
+            TINY,
             duration=800.0,
             autonomy=AutonomyConfig(
                 mode="autonomous",
@@ -146,7 +152,7 @@ class TestRejoinExtension:
         )
 
     def test_allocation_satisfaction_summary_field(self):
-        config = TINY.with_overrides(adequation_over_candidates=True)
+        config = replace(TINY, adequation_over_candidates=True)
         result = run_once(config, PolicySpec(name="sbqa"))
         assert 0.0 <= result.summary.consumer_allocation_satisfaction <= 1.0
         # with the full candidate pool visible, the mediator cannot be
