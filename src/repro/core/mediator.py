@@ -69,7 +69,11 @@ class Mediator(Entity):
         when False (default), the informed set is used.
     keep_records:
         Retain every :class:`AllocationRecord` on the mediator for
-        post-run analysis.
+        post-run analysis.  It also decides what an in-flight record
+        holds: when False, :meth:`_store` drops each record's decision
+        state (informed list, intention/score/omega maps, the fast
+        engine's rows) right after reporting it to the observer, and
+        keeps only what delivery reads (see :class:`AllocationRecord`).
     """
 
     def __init__(
@@ -204,15 +208,17 @@ class Mediator(Entity):
         # outcome notification to every informed provider
         self.coordination_messages += len(decision.informed)
 
+        # A record that is not kept drops these at _store: no copies.
+        keep = self.keep_records
         record = AllocationRecord(
             query=query,
             decided_at=self.now,
             allocated=list(decision.allocated),
-            informed=list(decision.informed),
+            informed=list(decision.informed) if keep else decision.informed,
             consumer_intentions=consumer_intentions,
             provider_intentions=provider_intentions,
-            scores=dict(decision.scores),
-            omegas=dict(decision.omegas),
+            scores=dict(decision.scores) if keep else decision.scores,
+            omegas=dict(decision.omegas) if keep else decision.omegas,
             adequation=adequation_value,
             consultation_delay=consult_delay,
         )
@@ -264,10 +270,16 @@ class Mediator(Entity):
         return self.network.latency.worst_round_trip(self, consumer, informed)
 
     def _store(self, record: AllocationRecord) -> None:
-        if self.keep_records:
+        """Every record of every engine and commit route ends here: keep
+        it, report it, and -- when not kept -- drop its decision state
+        while the query is still in flight."""
+        keep = self.keep_records
+        if keep:
             self.records.append(record)
         if self.observer is not None:
             self.observer.record_mediation(record)
+        if not keep:
+            record.drop_decision_state()
 
     def __repr__(self) -> str:
         return (

@@ -572,6 +572,16 @@ class RowsAllocationRecord(AllocationRecord):
     only -- captured here because the ``ci`` column moves on.
     """
 
+    #: The rows the commit reads and a kept record's maps are built from.
+    _DECISION_STATE = AllocationRecord._DECISION_STATE + (
+        "slots",
+        "pis",
+        "performed",
+        "_cis",
+        "_pids",
+        "_providers",
+    )
+
     def __init__(self, query, decided_at: float, cols: ConsultColumns, slots, pis, performed):
         self._open(query, decided_at, cols, performed)
         ci = cols.ci
@@ -619,6 +629,14 @@ class DecidedAllocationRecord(RowsAllocationRecord):
     returns: until committed it reads as the ``AllocationDecision`` it
     records.
     """
+
+    #: Plus the two row lists and what it carried as a decision.
+    _DECISION_STATE = RowsAllocationRecord._DECISION_STATE + (
+        "_consulted",
+        "_ranked",
+        "consult_messages",
+        "metadata",
+    )
 
     def __init__(self, query, decided_at: float, cols: ConsultColumns, consulted, ranked):
         self.performed = performed = [row[2] for row in ranked[: query.n_results]]

@@ -118,7 +118,7 @@ class QueryResult:
         return self.finished_at - self.started_at
 
 
-@dataclass
+@dataclass(repr=False)
 class AllocationRecord:
     """Everything the mediator decided about one query.
 
@@ -127,7 +127,33 @@ class AllocationRecord:
     they enter the provider-side window of Definition 2) and which were
     *allocated* (they perform it), plus the intentions both sides
     expressed and the scores/omega the policy used, when applicable.
+
+    Lifecycle: the mediator builds the record, commits it, and hands it
+    to :meth:`Mediator._store <repro.core.mediator.Mediator._store>`,
+    which reports it to the metrics hub.  The query is then in flight
+    until its results arrive, and delivery, completion and the hub read
+    only ``query``, ``allocated``, ``adequation``,
+    ``consultation_delay``, ``results`` and ``completed_at``.  The rest
+    -- the *decision state* named in ``_DECISION_STATE`` -- is for the
+    analysis of kept records: a mediator built with
+    ``keep_records=False`` drops it at ``_store``
+    (:meth:`drop_decision_state`), so a run's in-flight queries do not
+    hold ``Kn`` intentions, scores and omegas each.  Reading a dropped
+    field raises an :class:`AttributeError` that names
+    ``keep_records``; a kept record is never touched.
     """
+
+    #: Fields only the analysis of a kept record reads, and the views
+    #: built on them.  Subclasses that hold the decision in other forms
+    #: (snapshot rows) extend it.
+    _DECISION_STATE = (
+        "informed",
+        "informed_ids",
+        "consumer_intentions",
+        "provider_intentions",
+        "scores",
+        "omegas",
+    )
 
     query: Query
     decided_at: float
@@ -141,6 +167,32 @@ class AllocationRecord:
     consultation_delay: float = 0.0
     results: List[QueryResult] = field(default_factory=list)
     completed_at: Optional[float] = None
+
+    def drop_decision_state(self) -> None:
+        """Release the decision state (see the class docstring)."""
+        state = self.__dict__
+        for name in self._DECISION_STATE:
+            state.pop(name, None)
+
+    def __getattr__(self, name: str):
+        # Only reached when normal lookup fails: after
+        # drop_decision_state, a read of a dropped field -- or of a view
+        # built on one -- says why it is gone instead of reading empty.
+        if name in self._DECISION_STATE:
+            raise AttributeError(
+                f"{type(self).__name__}.{name} was dropped when the record was "
+                "stored: a mediator keeps a record's decision state only with "
+                "keep_records=True"
+            )
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __repr__(self) -> str:
+        # Delivery fields only: the decision state may be dropped, and a
+        # rows record would materialise its maps to print them.
+        return (
+            f"{type(self).__name__}(qid={self.query.qid}, allocated={self.allocated_ids}, "
+            f"adequation={self.adequation}, completed_at={self.completed_at})"
+        )
 
     @property
     def allocated_ids(self) -> List[str]:
