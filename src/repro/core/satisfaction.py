@@ -44,12 +44,21 @@ to the naive form; once eviction starts, the sums are refreshed from
 the window contents every ``memory`` evictions, which bounds
 floating-point drift to a few ulps, and means are clamped into the
 mathematically guaranteed [0, 1] range.
+
+The provider windows are the bulk of a long run's resident state --
+every provider holds ``k`` entries, ``N * k`` in all -- so the provider
+tracker keeps its window as a ring of unboxed columns (an
+``array('d')`` of intentions and a ``bytearray`` of performed flags,
+9 bytes per entry) rather than a deque of tuples.  The consumer
+windows, a handful per run, stay deques.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from typing import Deque, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Deque, Iterable, Iterator, List, Sequence, Tuple
 
 #: Default length of the interaction window ("the k last interactions").
 #: The paper assumes all participants use the same k for simplicity.
@@ -253,24 +262,32 @@ class ProviderSatisfactionTracker:
 
     Every query the mediator proposes to the provider (for SbQA, every
     query for which the provider was in the consulted set ``Kn``; for
-    direct-allocation baselines, every query it received) appends one
+    direct-allocation baselines, every query it received) records one
     entry ``(PPI_p[q], performed?)``.  Satisfaction is the mean of
     ``(PPI + 1) / 2`` over *performed* entries inside the window and
     exactly 0 when the window contains proposals but no performed query
     -- a provider that is consulted yet never chosen is maximally
     dissatisfied, which is what drives departure in Scenario 2.
 
-    Window entries are plain ``(intention, performed)`` tuples -- not a
-    named tuple -- so the fast engine's fused kernel can append them
-    without a class ``__new__`` on the hottest write path; anything
-    reading ``_proposals`` directly indexes positionally.
+    The window is a fixed-size ring of two unboxed columns: the
+    intentions in an ``array('d')`` (every IEEE bit kept, ``-0.0``
+    included) and the performed flags in a ``bytearray`` -- 9 bytes per
+    entry, and no allocation per proposal once the window is full.
+    The ring grows by appending until it holds ``memory`` entries;
+    from then on ``_pos`` is the oldest entry, which the next proposal
+    overwrites in place before ``_pos`` moves on (``_pos`` stays 0
+    while the ring fills, where the oldest entry is too).
+    :meth:`window_entries` gives the entries as ``(intention,
+    performed)`` tuples, oldest first.
     """
 
     def __init__(self, memory: int = DEFAULT_MEMORY) -> None:
         if memory < 1:
             raise ValueError(f"memory must be >= 1, got {memory}")
         self.memory = memory
-        self._proposals: Deque[Tuple[float, bool]] = deque(maxlen=memory)
+        self._intentions = array("d")
+        self._performed = bytearray()
+        self._pos = 0
         self.total_proposed = 0
         self.total_performed = 0
         self._performed_in_window = 0
@@ -281,35 +298,51 @@ class ProviderSatisfactionTracker:
         """Record one proposed query and whether this provider performs it."""
         if not -1.0 <= intention <= 1.0:
             raise ValueError(f"intention must be in [-1, 1], got {intention}")
-        proposals = self._proposals
-        if len(proposals) == self.memory:
-            evicted = proposals[0]
-            if evicted[1]:
+        intentions = self._intentions
+        memory = self.memory
+        flag = 1 if performed else 0
+        if len(intentions) == memory:
+            pos = self._pos
+            flags = self._performed
+            if flags[pos]:
                 self._performed_in_window -= 1
-                self._performed_unit_sum -= (evicted[0] + 1.0) / 2.0
+                self._performed_unit_sum -= (intentions[pos] + 1.0) / 2.0
             self._evictions_since_rebuild += 1
-        proposals.append((intention, performed))
+            intentions[pos] = intention
+            flags[pos] = flag
+            pos += 1
+            self._pos = 0 if pos == memory else pos
+        else:
+            intentions.append(intention)
+            self._performed.append(flag)
         self.total_proposed += 1
-        if performed:
+        if flag:
             self.total_performed += 1
             self._performed_in_window += 1
             self._performed_unit_sum += (intention + 1.0) / 2.0
-        if self._evictions_since_rebuild >= self.memory:
+        if self._evictions_since_rebuild >= memory:
             self._rebuild_sums()
 
+    def _window_order(self) -> Iterator[int]:
+        """Ring indices of the window entries, oldest first."""
+        start = self._pos
+        return chain(range(start, len(self._intentions)), range(start))
+
     def _rebuild_sums(self) -> None:
-        """Re-sum the performed window left-to-right, discarding drift."""
+        """Re-sum the performed window oldest-to-newest, discarding drift."""
+        intentions = self._intentions
+        flags = self._performed
         self._performed_in_window = 0
         self._performed_unit_sum = 0.0
-        for intention, performed in self._proposals:
-            if performed:
+        for i in self._window_order():
+            if flags[i]:
                 self._performed_in_window += 1
-                self._performed_unit_sum += (intention + 1.0) / 2.0
+                self._performed_unit_sum += (intentions[i] + 1.0) / 2.0
         self._evictions_since_rebuild = 0
 
     def satisfaction(self, default: float = NEUTRAL_SATISFACTION) -> float:
         """delta_s(p) per Definition 2; ``default`` before any proposal."""
-        if not self._proposals:
+        if not self._intentions:
             return default
         performed = self._performed_in_window
         if not performed:
@@ -318,22 +351,26 @@ class ProviderSatisfactionTracker:
 
     def performed_fraction(self) -> float:
         """Share of window proposals the provider performed (diagnostic)."""
-        if not self._proposals:
+        if not self._intentions:
             return 0.0
-        return self._performed_in_window / len(self._proposals)
+        return self._performed_in_window / len(self._intentions)
 
     @property
     def observations(self) -> int:
         """Number of proposals currently inside the window."""
-        return len(self._proposals)
+        return len(self._intentions)
 
     def window_entries(self) -> List[Tuple[float, bool]]:
         """Copy of the window contents (oldest first); used by analysis."""
-        return list(self._proposals)
+        intentions = self._intentions
+        flags = self._performed
+        return [(intentions[i], bool(flags[i])) for i in self._window_order()]
 
     def reset(self) -> None:
         """Forget the window (a rejoining participant starts afresh)."""
-        self._proposals.clear()
+        del self._intentions[:]
+        self._performed.clear()
+        self._pos = 0
         self._performed_in_window = 0
         self._performed_unit_sum = 0.0
         self._evictions_since_rebuild = 0

@@ -357,7 +357,7 @@ class ConsultColumns:
             if omega_fixed is None:
                 # ProviderSatisfactionTracker.satisfaction(), inlined.
                 tracker = trackers[s]
-                if tracker._proposals:
+                if tracker._intentions:
                     performed = tracker._performed_in_window
                     if performed:
                         ps = tracker._performed_unit_sum / performed
@@ -472,21 +472,30 @@ class ConsultColumns:
         chosen = frozenset(performed)
         for s, pi in zip(slots, pis):
             tracker = trackers[s]
-            proposals = tracker._proposals
-            if len(proposals) == tracker.memory:
-                evicted = proposals[0]
-                if evicted[1]:
-                    tracker._performed_in_window -= 1
-                    tracker._performed_unit_sum -= (evicted[0] + 1.0) / 2.0
-                tracker._evictions_since_rebuild += 1
+            intentions = tracker._intentions
+            memory = tracker.memory
             performs = s in chosen
-            proposals.append((pi, performs))
+            if len(intentions) == memory:
+                # Full ring: _pos is the oldest entry, overwritten in place.
+                pos = tracker._pos
+                flags = tracker._performed
+                if flags[pos]:
+                    tracker._performed_in_window -= 1
+                    tracker._performed_unit_sum -= (intentions[pos] + 1.0) / 2.0
+                tracker._evictions_since_rebuild += 1
+                intentions[pos] = pi
+                flags[pos] = performs
+                pos += 1
+                tracker._pos = 0 if pos == memory else pos
+            else:
+                intentions.append(pi)
+                tracker._performed.append(performs)
             tracker.total_proposed += 1
             if performs:
                 tracker.total_performed += 1
                 tracker._performed_in_window += 1
                 tracker._performed_unit_sum += (pi + 1.0) / 2.0
-            if tracker._evictions_since_rebuild >= tracker.memory:
+            if tracker._evictions_since_rebuild >= memory:
                 tracker._rebuild_sums()
 
         # -- Equation 1 over the performers, in decision order ----------

@@ -678,7 +678,6 @@ def _replay(
             hub.queries_completed += 1
             hub.completed_by_consumer[cid] = hub.completed_by_consumer.get(cid, 0) + 1
             hub.response_times.append(rt)
-            hub.response_times_by_consumer.setdefault(cid, []).append(rt)
             completions.append((t, ordinal, rt))
         else:  # "t"
             _, _, ordinal = event

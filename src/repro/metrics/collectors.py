@@ -43,7 +43,6 @@ class MetricsHub:
 
         # distributions
         self.response_times: List[float] = []
-        self.response_times_by_consumer: Dict[str, List[float]] = {}
         self.consultation_delays: List[float] = []
 
         # events
@@ -111,7 +110,6 @@ class MetricsHub:
             self.completed_by_consumer.get(consumer_id, 0) + 1
         )
         self.response_times.append(rt)
-        self.response_times_by_consumer.setdefault(consumer_id, []).append(rt)
         self._rt_window.append(rt)
 
     def record_departure(self, departure: "Departure") -> None:

@@ -46,7 +46,6 @@ class TestEventRecords:
         hub.record_completion(record)
         assert hub.queries_completed == 1
         assert hub.response_times == [12.0]
-        assert list(hub.response_times_by_consumer.values()) == [[12.0]]
 
     def test_completion_of_incomplete_record_rejected(self, factory):
         hub = MetricsHub()

@@ -75,7 +75,7 @@ def _run(spec, engine="fast", kernel=True, drive=None):
 
 def _provider_state(tracker):
     return (
-        list(tracker._proposals),
+        tracker.window_entries(),
         tracker._performed_in_window,
         tracker._performed_unit_sum,
         tracker._evictions_since_rebuild,
@@ -217,7 +217,7 @@ def test_a_decision_without_intentions_is_computed_from_the_columns():
     assert record.informed == providers and record.allocated == [providers[2]]
     assert record.scores == {} and record.omegas == {}
     for provider in providers:
-        assert list(provider.tracker._proposals) == [
+        assert provider.tracker.window_entries() == [
             (record.provider_intentions[provider.participant_id], provider is providers[2])
         ]
 
@@ -234,8 +234,8 @@ def test_a_decision_that_supplies_its_own_intentions_is_honoured():
     mediator, record = _mediate_once(policy, sim, network, registry, consumer)
     assert mediator.commit_counts == {"rows": 0, "objects": 1}
     assert record.provider_intentions["p1"] == -0.625
-    assert list(providers[1].tracker._proposals) == [(-0.625, True)]
-    assert list(providers[0].tracker._proposals) == [(providers[0].intention_for(record.query), False)]
+    assert providers[1].tracker.window_entries() == [(-0.625, True)]
+    assert providers[0].tracker.window_entries() == [(providers[0].intention_for(record.query), False)]
 
 
 def test_an_informed_provider_outside_the_snapshot_commits_on_objects():
