@@ -21,7 +21,7 @@ then runs to the horizon and assembles a :class:`RunResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.allocation.factory import make_policy
 from repro.core.engine import make_mediator, make_network
@@ -60,14 +60,19 @@ class WorkloadInstaller:
 
 @dataclass
 class RunResult:
-    """Everything one run produced (summary + raw access for analysis)."""
+    """Everything one run produced (summary + raw access for analysis).
+
+    ``population`` is ``None`` on a run merged from process-parallel
+    shard workers (:func:`repro.federation.parallel.run_parallel`): it
+    has no live world, so ``registry`` and ``participant_satisfaction``
+    are unavailable there."""
 
     label: str
     config: ExperimentConfig
     policy_spec: PolicySpec
     summary: RunSummary
     hub: MetricsHub
-    population: BoincPopulation
+    population: Optional[BoincPopulation]
     mediator: Mediator
 
     @property
@@ -326,7 +331,7 @@ def wire_run(
         # The departure policy is deterministic per participant, so a
         # sweep over the owned sublists (relative order preserved)
         # reproduces exactly the serial sweep's owned subsequence.
-        churn_consumers, churn_providers = shard_slice.churn_members(population)
+        churn_consumers, churn_providers = shard_slice.churn_members()
     monitor = ChurnMonitor(
         sim,
         churn_consumers,
@@ -356,24 +361,8 @@ def wire_run(
         # replays the global sweeps (and the group series) exactly.
         shard_slice.install_sampler(sim, registry, interval=config.sample_interval)
     else:
-        for consumer in population.consumers:
-            hub.register_group(
-                f"consumer:{consumer.participant_id}",
-                "consumer",
-                [consumer.participant_id],
-            )
-        for archetype in ARCHETYPES:
-            members = [
-                p.participant_id for p in population.providers_of_archetype(archetype)
-            ]
-            if members:
-                hub.register_group(f"archetype:{archetype}", "provider", members)
-        if config.population.focal_provider is not None:
-            hub.register_group(
-                "focal:provider",
-                "provider",
-                [config.population.focal_provider.participant_id],
-            )
+        for name, kind, ids in participant_groups(config, population):
+            hub.register_group(name, kind, ids)
         hub.start_sampling(sim, registry, interval=config.sample_interval)
 
     return LiveRun(
@@ -385,6 +374,31 @@ def wire_run(
         mediator=mediator,
         population=population,
     )
+
+
+def participant_groups(
+    config: ExperimentConfig, population: BoincPopulation
+) -> List[Tuple[str, str, List[str]]]:
+    """The named groups whose mean satisfaction every run samples.
+
+    ``(name, kind, participant ids)`` in registration order: one group
+    per consumer (project), one per provider archetype present, and the
+    focal provider probe when configured.
+    """
+    groups: List[Tuple[str, str, List[str]]] = [
+        (f"consumer:{c.participant_id}", "consumer", [c.participant_id])
+        for c in population.consumers
+    ]
+    for archetype in ARCHETYPES:
+        members = [
+            p.participant_id for p in population.providers_of_archetype(archetype)
+        ]
+        if members:
+            groups.append((f"archetype:{archetype}", "provider", members))
+    focal = config.population.focal_provider
+    if focal is not None:
+        groups.append(("focal:provider", "provider", [focal.participant_id]))
+    return groups
 
 
 def run_once(

@@ -71,18 +71,23 @@ shared sample grid.  The parent
    same-instant collisions would need two continuous-time draws to be
    exactly equal (measure zero, see ``docs/architecture.md``);
 2. repopulates a real :class:`~repro.metrics.collectors.MetricsHub`,
-   replaying each sample instant with the *exact* serial arithmetic
-   (``mean``/``stdev``/``gini`` over the joined columns read back in
-   registration order, plain ``sum`` for capacity) so every series
-   float is identical to the last ulp;
-3. rebuilds the final registry/mediator/network state from per-worker
-   harvests (ownership is a partition, so each participant's final
-   state comes from exactly one worker) and hands the result to the
-   unmodified :func:`~repro.metrics.summary.build_summary`.
+   feeding each sample instant's joined columns, read back in
+   registration order, to the same ``MetricsHub.append_sample`` the
+   serial sweep calls, so every series float is identical to the last
+   ulp; departures and rejoins are ordered as the churn sweep visits
+   them: ``(time, consumers before providers, registration ordinal)``;
+3. sorts the workers' final rows (:func:`~repro.metrics.summary.final_rows`
+   over each worker's owned participants, keyed by registration
+   ordinal; ownership is a partition, so each row comes from exactly
+   one worker) into registration order and hands them to
+   :func:`~repro.metrics.summary.summary_from_rows`, the function the
+   serial :func:`~repro.metrics.summary.build_summary` ends in.
 
 Integer counters (messages, mediations, coordination messages) are sums
 of disjoint slices -- exact.  Float reductions re-run in serial order --
-exact.  The resulting digest equals the serial digest.
+exact.  The resulting digest equals the serial digest.  The merged
+:class:`~repro.experiments.runner.RunResult` has no live world
+(``population is None``).
 """
 
 from __future__ import annotations
@@ -93,10 +98,10 @@ import time
 import traceback
 from itertools import chain, compress
 from multiprocessing import connection as _mp_connection
+from operator import itemgetter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.stats import gini, mean, stdev
 from repro.des.events import make_repeating
 from repro.federation.mediator import sum_tallies
 from repro.federation.ring import ShardMap
@@ -106,8 +111,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     # Imported lazily at runtime: repro.experiments.config itself
     # imports this package, so a top-level import would be circular.
     from repro.experiments.config import ExperimentConfig, PolicySpec
-from repro.metrics.summary import build_summary
-from repro.workloads.preferences import ARCHETYPES
+from repro.metrics.summary import final_rows, summary_from_rows
 
 
 class ParallelViolation(RuntimeError):
@@ -271,7 +275,6 @@ class ShardSlice:
         self.consumer_ordinal: Dict[str, int] = {}
         self.provider_ordinal: Dict[str, int] = {}
         self._owned_consumer_ids: set = set()
-        self._owned_provider_ids: set = set()
         self._owned_consumers: List = []
         self._owned_providers: List = []
         self.group_defs: List[Tuple[str, str, List[str]]] = []
@@ -307,12 +310,11 @@ class ShardSlice:
             for c in registry.consumers
             if c.participant_id in self._owned_consumer_ids
         ]
-        owned_pids = set()
-        for ordinal in self.group:
-            owned_pids.update(
-                p.participant_id for p in federation.registries[ordinal].providers
-            )
-        self._owned_provider_ids = owned_pids
+        owned_pids = {
+            p.participant_id
+            for ordinal in self.group
+            for p in federation.registries[ordinal].providers
+        }
         self._owned_providers = [
             p for p in registry.providers if p.participant_id in owned_pids
         ]
@@ -328,45 +330,20 @@ class ShardSlice:
 
             federation.foreign_guard = guard
 
-        # Group definitions, replicated from the serial wiring so the
-        # parent registers them in the same order.  Identical in every
-        # worker (full-world wiring); the parent keeps one copy.
-        defs: List[Tuple[str, str, List[str]]] = [
-            (f"consumer:{c.participant_id}", "consumer", [c.participant_id])
-            for c in population.consumers
-        ]
-        for archetype in ARCHETYPES:
-            members = [
-                p.participant_id for p in population.providers_of_archetype(archetype)
-            ]
-            if members:
-                defs.append((f"archetype:{archetype}", "provider", members))
-        if config.population.focal_provider is not None:
-            defs.append(
-                (
-                    "focal:provider",
-                    "provider",
-                    [config.population.focal_provider.participant_id],
-                )
-            )
-        self.group_defs = defs
+        # Identical in every worker (full-world wiring); the parent
+        # registers one copy, in the serial wiring's order.
+        from repro.experiments.runner import participant_groups
+
+        self.group_defs = participant_groups(config, population)
 
     def owns_consumer(self, consumer_id: str) -> bool:
         return consumer_id in self._owned_consumer_ids
 
-    def churn_members(self, population) -> Tuple[list, list]:
-        """Owned consumers/providers, relative population order preserved."""
-        consumers = [
-            c
-            for c in population.consumers
-            if c.participant_id in self._owned_consumer_ids
-        ]
-        providers = [
-            p
-            for p in population.providers
-            if p.participant_id in self._owned_provider_ids
-        ]
-        return consumers, providers
+    def churn_members(self) -> Tuple[list, list]:
+        """Owned consumers/providers, in registration order (the
+        population's order: each participant is registered as it is
+        drawn)."""
+        return self._owned_consumers, self._owned_providers
 
     def install_sampler(self, sim, registry, interval: float) -> None:
         """Record raw owned-participant columns on the serial sample grid.
@@ -415,53 +392,31 @@ def _flush(conn, shard_slice: ShardSlice) -> None:
 def _harvest(live, shard_slice: ShardSlice) -> dict:
     """Final owned state, shipped to the parent after the last epoch."""
     federation = shard_slice.federation
-    consumers = [
-        (
-            shard_slice.consumer_ordinal[c.participant_id],
-            c.participant_id,
-            c.online,
-            c.satisfaction,
-            c.stats.queries_issued,
-            c.stats.queries_completed,
-            c.stats.queries_failed,
-            c.stats.mean_response_time,
-            c.tracker.allocation_satisfaction(),
-        )
-        for c in shard_slice._owned_consumers
-    ]
-    providers = [
-        (
-            shard_slice.provider_ordinal[p.participant_id],
-            p.participant_id,
-            p.online,
-            p.satisfaction,
-            p.capacity,
-            p.stats.work_units_done,
-        )
-        for p in shard_slice._owned_providers
-    ]
-    shards = [
-        (
-            ordinal,
-            federation.mediators[ordinal].mediations,
-            federation.mediators[ordinal].failures,
-            federation.mediators[ordinal].coordination_messages,
-            federation.mediators[ordinal].forwarded,
-        )
-        for ordinal in shard_slice.group
-    ]
+    consumers = shard_slice._owned_consumers
+    providers = shard_slice._owned_providers
+    consumer_rows, provider_rows = final_rows(consumers, providers)
     owned = [federation.mediators[ordinal] for ordinal in shard_slice.group]
     return {
         "group": shard_slice.group,
-        "consumers": consumers,
-        "providers": providers,
-        "shards": shards,
+        # Rows keyed by global registration ordinal.
+        "consumers": [
+            (shard_slice.consumer_ordinal[c.participant_id], row)
+            for c, row in zip(consumers, consumer_rows)
+        ],
+        "providers": [
+            (shard_slice.provider_ordinal[p.participant_id], row)
+            for p, row in zip(providers, provider_rows)
+        ],
+        "counters": [
+            (m.mediations, m.failures, m.coordination_messages, m.forwarded)
+            for m in owned
+        ],
         # Fast-engine execution metadata (absent on the event engine).
         "tallies": {
             name: sum_tallies(getattr(m, name, {}) for m in owned)
             for name in _MergedMediator.TALLIES
         },
-        "network": (live.network.messages_sent, live.network.messages_delivered),
+        "network_messages": live.network.messages_sent,
         "departures": list(live.hub.departures),
         "rejoins": list(live.hub.rejoins),
         "groups": shard_slice.group_defs,
@@ -518,99 +473,11 @@ def _worker_main(config, policy_spec, replication, group, conn, ctrl) -> None:
 # ----------------------------------------------------------------------
 
 
-class _FinalStats:
-    __slots__ = (
-        "queries_issued",
-        "queries_completed",
-        "queries_failed",
-        "mean_response_time",
-        "work_units_done",
-    )
-
-    def __init__(self, issued=0, completed=0, failed=0, mean_rt=0.0, work=0.0):
-        self.queries_issued = issued
-        self.queries_completed = completed
-        self.queries_failed = failed
-        self.mean_response_time = mean_rt
-        self.work_units_done = work
-
-
-class _FinalTracker:
-    __slots__ = ("_value",)
-
-    def __init__(self, value: float) -> None:
-        self._value = value
-
-    def allocation_satisfaction(self) -> float:
-        return self._value
-
-
-class _FinalConsumer:
-    __slots__ = ("participant_id", "online", "satisfaction", "stats", "tracker")
-
-    def __init__(self, participant_id, online, satisfaction, stats, tracker):
-        self.participant_id = participant_id
-        self.online = online
-        self.satisfaction = satisfaction
-        self.stats = stats
-        self.tracker = tracker
-
-
-class _FinalProvider:
-    __slots__ = ("participant_id", "online", "satisfaction", "capacity", "stats")
-
-    def __init__(self, participant_id, online, satisfaction, capacity, stats):
-        self.participant_id = participant_id
-        self.online = online
-        self.satisfaction = satisfaction
-        self.capacity = capacity
-        self.stats = stats
-
-
-class _MergedRegistry:
-    """Final-state registry view satisfying ``build_summary``'s reads.
-
-    ``total_capacity`` replicates ``SystemRegistry.total_capacity``
-    exactly: ``sum`` over capacities in registration order
-    (online-filtered in registration order for ``online_only``)."""
-
-    def __init__(self, consumers, providers) -> None:
-        self.consumers = tuple(consumers)
-        self.providers = tuple(providers)
-        self._consumers = {c.participant_id: c for c in self.consumers}
-        self._providers = {p.participant_id: p for p in self.providers}
-
-    def consumer(self, participant_id):
-        return self._consumers[participant_id]
-
-    def provider(self, participant_id):
-        return self._providers[participant_id]
-
-    def online_consumers(self):
-        return [c for c in self.consumers if c.online]
-
-    def online_providers(self):
-        return [p for p in self.providers if p.online]
-
-    def total_capacity(self, online_only: bool = True) -> float:
-        providers = self.online_providers() if online_only else self.providers
-        return sum([p.capacity for p in providers])
-
-
-class _MergedPopulation:
-    __slots__ = ("registry", "consumers", "providers")
-
-    def __init__(self, registry: _MergedRegistry) -> None:
-        self.registry = registry
-        self.consumers = registry.consumers
-        self.providers = registry.providers
-
-
 class _MergedMediator:
-    """The counters a summary reads, summed over the workers' shards,
-    and the fast engine's route/commit tallies summed the same way:
-    placement never changes which route a shard's mediations take, so
-    they equal the serial run's.
+    """The merged run's mediator counters, summed over the workers'
+    shards, and the fast engine's route/commit tallies summed the same
+    way: placement never changes which route a shard's mediations take,
+    so they equal the serial run's.
     """
 
     TALLIES = ("route_counts", "scalar_reasons", "commit_counts")
@@ -633,14 +500,6 @@ class _MergedMediator:
             setattr(self, name, sum_tallies(t[name] for t in tallies))
 
 
-class _MergedNetwork:
-    __slots__ = ("messages_sent", "messages_delivered")
-
-    def __init__(self, sent: int, delivered: int) -> None:
-        self.messages_sent = sent
-        self.messages_delivered = delivered
-
-
 def _merge_events(event_lists: List[List[tuple]]):
     """Interleave per-worker event streams into serial firing order.
 
@@ -655,7 +514,7 @@ def _merge_events(event_lists: List[List[tuple]]):
 def _replay(
     hub: MetricsHub,
     merged_events,
-    ordinal_cid: Dict[int, str],
+    ordinal_cid: Sequence[str],
 ) -> List[Tuple[float, int, float]]:
     """Replay outcome events into ``hub``; return completions in order."""
     completions: List[Tuple[float, int, float]] = []
@@ -712,20 +571,20 @@ def _replay_samples(
     completions: List[Tuple[float, int, float]],
     interval: float,
     capacities: List[float],
-    group_defs: List[Tuple[str, str, List[int]]],
+    group_defs: List[Tuple[str, List[int]]],
 ) -> None:
-    """Re-run every sample instant with the exact serial arithmetic.
+    """Re-run every sample instant through ``MetricsHub.append_sample``.
 
     Each worker ships one ``(t, c_sat, c_online, p_sat, p_util,
     p_online)`` tick of flat columns per grid instant; joined across
     workers and read through the registration-order permutations they
-    reproduce the registration-ordered sweeps of
-    ``MetricsHub.sample_once`` float for float (``group_defs`` carries
-    member *ordinals*).  Completions at exactly a grid instant are
-    counted into that instant's window (the serial order between a
-    completion event and the sample event at the same instant depends
-    on heap seq; completion times are continuous, so the instants
-    coincide with measure zero)."""
+    are the operands of the registration-ordered sweeps of
+    ``MetricsHub.sample_once``, so every series float is the serial one
+    (``group_defs`` carries ``(kind, member ordinals)``).  Completions
+    at exactly a grid instant are counted into that instant's window
+    (the serial order between a completion event and the sample event
+    at the same instant depends on heap seq; completion times are
+    continuous, so the instants coincide with measure zero)."""
     grid = [tick[0] for tick in sample_lists[0]]
     for ticks in sample_lists[1:]:
         if [tick[0] for tick in ticks] != grid:
@@ -741,36 +600,33 @@ def _replay_samples(
             columns.append([joined[j] for j in order])
         c_sat, c_online, p_sat, p_util, p_online = columns
 
-        cons_online = list(compress(c_sat, c_online))
-        hub.consumer_satisfaction.append(t, mean(cons_online, default=0.0))
-        hub.provider_satisfaction.append(
-            t, mean(list(compress(p_sat, p_online)), default=0.0)
-        )
-        utilizations = list(compress(p_util, p_online))
-        hub.utilization_mean.append(t, mean(utilizations))
-        hub.utilization_stdev.append(t, stdev(utilizations))
-        hub.utilization_gini.append(t, gini(utilizations) if utilizations else 0.0)
-        hub.providers_online.append(t, float(len(utilizations)))
-        hub.consumers_online.append(t, float(len(cons_online)))
-        hub.total_capacity.append(t, sum(compress(capacities, p_online)))
-
-        for name, kind, ordinals in group_defs:
-            sats = c_sat if kind == "consumer" else p_sat
-            hub.group_satisfaction[name].append(
-                t, mean([sats[o] for o in ordinals], default=0.0)
-            )
-
         window = done
-        rts: List[float] = []
         while window < len(completions) and completions[window][0] <= t:
-            rts.append(completions[window][2])
             window += 1
-        hub.throughput.append(t, (window - done) / interval)
-        hub.response_time_series.append(t, mean(rts, default=0.0))
+        hub.append_sample(
+            t,
+            list(compress(c_sat, c_online)),
+            list(compress(p_sat, p_online)),
+            list(compress(p_util, p_online)),
+            sum(compress(capacities, p_online)),
+            (
+                [(c_sat if kind == "consumer" else p_sat)[o] for o in ordinals]
+                for kind, ordinals in group_defs
+            ),
+            window,
+            [rt for _, _, rt in completions[done:window]],
+        )
         done = window
 
-    hub._completions_at_last_sample = done
     hub._rt_window = [rt for _, _, rt in completions[done:]]
+
+
+def _sorted_rows(harvests: List[dict], kind: str) -> list:
+    """Every worker's ``(ordinal, row)`` harvest of ``kind``, as rows in
+    global registration order: ownership partitions the population, so
+    these are the serial run's final rows."""
+    keyed = sorted(chain.from_iterable(h[kind] for h in harvests), key=itemgetter(0))
+    return [row for _, row in keyed]
 
 
 def _merge_result(
@@ -782,75 +638,58 @@ def _merge_result(
 ):
     from repro.experiments.runner import RunResult
 
-    # Final participant state: ownership partitions the population, so
-    # concatenating harvests and sorting by global registration ordinal
-    # rebuilds the full final registry.
-    consumer_rows = sorted(row for h in harvests for row in h["consumers"])
-    provider_rows = sorted(row for h in harvests for row in h["providers"])
-    consumers = [
-        _FinalConsumer(
-            cid,
-            online,
-            satisfaction,
-            _FinalStats(issued=issued, completed=completed, failed=failed, mean_rt=mean_rt),
-            _FinalTracker(alloc_sat),
-        )
-        for _, cid, online, satisfaction, issued, completed, failed, mean_rt, alloc_sat
-        in consumer_rows
-    ]
-    providers = [
-        _FinalProvider(pid, online, satisfaction, capacity, _FinalStats(work=work))
-        for _, pid, online, satisfaction, capacity, work in provider_rows
-    ]
-    registry = _MergedRegistry(consumers, providers)
-    ordinal_cid = {i: c.participant_id for i, c in enumerate(consumers)}
+    consumer_rows = _sorted_rows(harvests, "consumers")
+    provider_rows = _sorted_rows(harvests, "providers")
+    consumer_ids = [summary.consumer_id for summary, _ in consumer_rows]
+    ordinal_of = {
+        "consumer": {cid: i for i, cid in enumerate(consumer_ids)},
+        "provider": {row[0]: i for i, row in enumerate(provider_rows)},
+    }
 
+    def sweep_order(change) -> Tuple[float, bool, int]:
+        # ChurnMonitor.check_once and _rejoin_sweep visit consumers,
+        # then providers, each in registration order.
+        return (
+            change.time,
+            change.kind == "provider",
+            ordinal_of[change.kind][change.participant_id],
+        )
+
+    counters = chain.from_iterable(h["counters"] for h in harvests)
     mediator = _MergedMediator(
-        sum(row[1] for h in harvests for row in h["shards"]),
-        sum(row[2] for h in harvests for row in h["shards"]),
-        sum(row[3] for h in harvests for row in h["shards"]),
-        sum(row[4] for h in harvests for row in h["shards"]),
+        *(sum(column) for column in zip(*counters)),
         [h["tallies"] for h in harvests],
-    )
-    network = _MergedNetwork(
-        sum(h["network"][0] for h in harvests),
-        sum(h["network"][1] for h in harvests),
     )
 
     hub = MetricsHub()
-    completions = _replay(hub, _merge_events(event_lists), ordinal_cid)
+    completions = _replay(hub, _merge_events(event_lists), consumer_ids)
     hub.departures = sorted(
-        (d for h in harvests for d in h["departures"]), key=lambda d: d.time
+        (d for h in harvests for d in h["departures"]), key=sweep_order
     )
-    hub.rejoins = sorted(
-        (r for h in harvests for r in h["rejoins"]), key=lambda r: r.time
-    )
-    ordinal_of = {
-        "consumer": {c.participant_id: i for i, c in enumerate(consumers)},
-        "provider": {p.participant_id: i for i, p in enumerate(providers)},
-    }
+    hub.rejoins = sorted((r for h in harvests for r in h["rejoins"]), key=sweep_order)
     group_defs = []
     for name, kind, ids in harvests[0]["groups"]:
         hub.register_group(name, kind, ids)
-        group_defs.append((name, kind, [ordinal_of[kind][pid] for pid in ids]))
+        group_defs.append((kind, [ordinal_of[kind][pid] for pid in ids]))
     _replay_samples(
         hub,
         sample_lists,
-        _registration_order([[row[0] for row in h["consumers"]] for h in harvests]),
-        _registration_order([[row[0] for row in h["providers"]] for h in harvests]),
+        _registration_order([[o for o, _ in h["consumers"]] for h in harvests]),
+        _registration_order([[o for o, _ in h["providers"]] for h in harvests]),
         completions,
         config.sample_interval,
-        [p.capacity for p in providers],
+        [capacity for _, _, capacity, _ in provider_rows],
         group_defs,
     )
 
-    summary = build_summary(
-        policy_name=policy_spec.label,
-        duration=config.duration,
-        hub=hub,
-        registry=registry,
-        mediator=mediator,
-        network=network,
+    summary = summary_from_rows(
+        policy_spec.label,
+        config.duration,
+        hub,
+        consumer_rows,
+        provider_rows,
+        coordination_messages=mediator.coordination_messages,
+        network_messages=sum(h["network_messages"] for h in harvests),
     )
     return RunResult(
         label=policy_spec.label,
@@ -858,7 +697,7 @@ def _merge_result(
         policy_spec=policy_spec,
         summary=summary,
         hub=hub,
-        population=_MergedPopulation(registry),
+        population=None,
         mediator=mediator,
     )
 

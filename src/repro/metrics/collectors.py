@@ -14,7 +14,7 @@ Wiring (done by :mod:`repro.experiments.runner`):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.stats import gini, mean, stdev
 from repro.des.events import make_repeating
@@ -187,39 +187,64 @@ class MetricsHub:
         online_providers = registry.online_providers()
         online_consumers = registry.online_consumers()
 
-        self.consumer_satisfaction.append(
-            now, mean([c.satisfaction for c in online_consumers], default=0.0)
-        )
-        self.provider_satisfaction.append(
-            now, mean([p.satisfaction for p in online_providers], default=0.0)
-        )
-        utilizations = [p.utilization for p in online_providers]
-        self.utilization_mean.append(now, mean(utilizations))
-        self.utilization_stdev.append(now, stdev(utilizations))
-        self.utilization_gini.append(now, gini(utilizations) if utilizations else 0.0)
-        self.providers_online.append(now, float(len(online_providers)))
-        self.consumers_online.append(now, float(len(online_consumers)))
-        self.total_capacity.append(now, registry.total_capacity(online_only=True))
-
         if self._snapshot_providers:
             snapshot = {p.participant_id: p.satisfaction for p in registry.providers}
             self.provider_snapshots.append((now, snapshot))
 
-        for name, (kind, ids) in self._groups.items():
-            if kind == "consumer":
-                members = [registry.consumer(pid) for pid in ids]
-            else:
-                members = [registry.provider(pid) for pid in ids]
-            self.group_satisfaction[name].append(
-                now, mean([m.satisfaction for m in members], default=0.0)
-            )
-
-        window_completions = self.queries_completed - self._completions_at_last_sample
-        self._completions_at_last_sample = self.queries_completed
-        if self._sample_interval:
-            self.throughput.append(now, window_completions / self._sample_interval)
-        self.response_time_series.append(now, mean(self._rt_window, default=0.0))
+        group_sats = []
+        for kind, ids in self._groups.values():
+            member = registry.consumer if kind == "consumer" else registry.provider
+            group_sats.append([member(pid).satisfaction for pid in ids])
+        self.append_sample(
+            now,
+            [c.satisfaction for c in online_consumers],
+            [p.satisfaction for p in online_providers],
+            [p.utilization for p in online_providers],
+            registry.total_capacity(online_only=True),
+            group_sats,
+            self.queries_completed,
+            self._rt_window,
+        )
         self._rt_window = []
+
+    def append_sample(
+        self,
+        now: float,
+        consumer_sats: List[float],
+        provider_sats: List[float],
+        utilizations: List[float],
+        capacity: float,
+        group_sats: Iterable[List[float]],
+        completed: int,
+        rts: List[float],
+    ) -> None:
+        """Append one instant to every sampled series.
+
+        Operands in registration order: the online consumers' and
+        providers' satisfactions, the online providers' utilizations
+        and capacity, one member-satisfaction list per group, the
+        completions so far and the response times since the last
+        instant.  The live sweep and the parallel merge's replay both
+        end here, so their series agree float for float.
+        """
+        self.consumer_satisfaction.append(now, mean(consumer_sats, default=0.0))
+        self.provider_satisfaction.append(now, mean(provider_sats, default=0.0))
+        self.utilization_mean.append(now, mean(utilizations))
+        self.utilization_stdev.append(now, stdev(utilizations))
+        self.utilization_gini.append(now, gini(utilizations) if utilizations else 0.0)
+        self.providers_online.append(now, float(len(utilizations)))
+        self.consumers_online.append(now, float(len(consumer_sats)))
+        self.total_capacity.append(now, capacity)
+
+        for series, sats in zip(self.group_satisfaction.values(), group_sats):
+            series.append(now, mean(sats, default=0.0))
+
+        if self._sample_interval:
+            self.throughput.append(
+                now, (completed - self._completions_at_last_sample) / self._sample_interval
+            )
+        self._completions_at_last_sample = completed
+        self.response_time_series.append(now, mean(rts, default=0.0))
 
     # ------------------------------------------------------------------
     # Derived accessors

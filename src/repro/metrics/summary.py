@@ -5,7 +5,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from itertools import compress
+from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
 
 from repro.analysis.stats import gini, mean, percentile, stdev
 
@@ -13,6 +14,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.mediator import Mediator
     from repro.des.network import Network
     from repro.metrics.collectors import MetricsHub
+    from repro.system.consumer import Consumer
+    from repro.system.provider import Provider
     from repro.system.registry import SystemRegistry
 
 
@@ -164,6 +167,35 @@ def summary_digest(summary: "RunSummary") -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def final_rows(
+    consumers: Iterable["Consumer"], providers: Iterable["Provider"]
+) -> Tuple[List[Tuple[ConsumerSummary, float]], List[tuple]]:
+    """The end state a summary reads, one plain row per participant, in
+    the order given: ``(ConsumerSummary, allocation satisfaction)`` per
+    consumer, ``(participant_id, online, capacity, work_units_done)``
+    per provider."""
+    consumer_rows = [
+        (
+            ConsumerSummary(
+                consumer_id=c.participant_id,
+                online=c.online,
+                satisfaction=c.satisfaction,
+                issued=c.stats.queries_issued,
+                completed=c.stats.queries_completed,
+                failed=c.stats.queries_failed,
+                mean_response_time=c.stats.mean_response_time,
+            ),
+            c.tracker.allocation_satisfaction(),
+        )
+        for c in consumers
+    ]
+    provider_rows = [
+        (p.participant_id, p.online, p.capacity, p.stats.work_units_done)
+        for p in providers
+    ]
+    return consumer_rows, provider_rows
+
+
 def build_summary(
     policy_name: str,
     duration: float,
@@ -172,28 +204,38 @@ def build_summary(
     mediator: "Mediator",
     network: "Network",
 ) -> RunSummary:
-    """Assemble the :class:`RunSummary` of a finished run."""
+    """Assemble the :class:`RunSummary` of a finished live run."""
+    consumer_rows, provider_rows = final_rows(registry.consumers, registry.providers)
+    return summary_from_rows(
+        policy_name, duration, hub, consumer_rows, provider_rows,
+        mediator.coordination_messages, network.messages_sent,
+    )
+
+
+def summary_from_rows(
+    policy_name: str,
+    duration: float,
+    hub: "MetricsHub",
+    consumer_rows: List[Tuple[ConsumerSummary, float]],
+    provider_rows: List[tuple],
+    coordination_messages: int,
+    network_messages: int,
+) -> RunSummary:
+    """Assemble a :class:`RunSummary` from the hub and the
+    :func:`final_rows` of every participant, in registration order."""
     departures = hub.departures_by_kind()
     rejoins: Dict[str, int] = {}
     for rejoin in hub.rejoins:
         rejoins[rejoin.kind] = rejoins.get(rejoin.kind, 0) + 1
-    initial_capacity = registry.total_capacity(online_only=False)
-    remaining_capacity = registry.total_capacity(online_only=True)
-
-    consumers = [
-        ConsumerSummary(
-            consumer_id=c.participant_id,
-            online=c.online,
-            satisfaction=c.satisfaction,
-            issued=c.stats.queries_issued,
-            completed=c.stats.queries_completed,
-            failed=c.stats.queries_failed,
-            mean_response_time=c.stats.mean_response_time,
-        )
-        for c in registry.consumers
-    ]
-
-    work_done = [p.stats.work_units_done for p in registry.providers]
+    # One transpose of the provider rows; ``sum`` then walks the
+    # capacities in registration order, the order
+    # ``SystemRegistry.total_capacity`` sums them in.
+    _, online, capacities, work_done = (
+        zip(*provider_rows) if provider_rows else ((),) * 4
+    )
+    initial_capacity = sum(capacities)
+    remaining_capacity = sum(compress(capacities, online))
+    consumers = [summary for summary, _ in consumer_rows]
 
     return RunSummary(
         policy=policy_name,
@@ -214,10 +256,10 @@ def build_summary(
         consumer_satisfaction_mean=hub.consumer_satisfaction.mean(),
         provider_satisfaction_final=hub.provider_satisfaction.last or 0.0,
         provider_satisfaction_mean=hub.provider_satisfaction.mean(),
-        providers_total=len(registry.providers),
-        providers_remaining=len(registry.online_providers()),
-        consumers_total=len(registry.consumers),
-        consumers_remaining=len(registry.online_consumers()),
+        providers_total=len(provider_rows),
+        providers_remaining=sum(online),
+        consumers_total=len(consumers),
+        consumers_remaining=sum(1 for c in consumers if c.online),
         provider_departures=departures.get("provider", 0),
         consumer_departures=departures.get("consumer", 0),
         provider_rejoins=rejoins.get("provider", 0),
@@ -226,13 +268,13 @@ def build_summary(
             remaining_capacity / initial_capacity if initial_capacity > 0 else 0.0
         ),
         consumer_allocation_satisfaction=mean(
-            [c.tracker.allocation_satisfaction() for c in registry.consumers]
+            [allocation for _, allocation in consumer_rows]
         ),
         utilization_mean=hub.utilization_mean.mean(),
         utilization_gini=hub.utilization_gini.tail_mean(0.25),
         work_gini=gini(work_done) if work_done else 0.0,
-        network_messages=network.messages_sent,
-        coordination_messages=mediator.coordination_messages,
+        network_messages=network_messages,
+        coordination_messages=coordination_messages,
         mean_consultation_delay=mean(hub.consultation_delays),
         consumers=consumers,
     )

@@ -11,6 +11,8 @@ digest is trivially equal).  These tests pin
 * digest parity on preset-derived configs (both engines, several
   worker counts, with and without churn) and for *any* placement,
 * the columnar sample transport (every series float equals serial),
+* the merged final rows and the churn-sweep order of departures and
+  rejoins (both equal serial),
 * the conservative cross-group-forwarding fallback,
 * worker death and sibling-stop (fault injection), and
 * the ``Session.run(shard_workers=...)`` surface.
@@ -20,7 +22,7 @@ import multiprocessing
 import os
 import random
 import time
-from dataclasses import replace
+from dataclasses import astuple, is_dataclass, replace
 
 import pytest
 
@@ -35,6 +37,7 @@ from repro.federation import (
     shard_loads,
 )
 from repro.federation import parallel as parallel_module
+from repro.metrics.summary import final_rows
 from repro.workloads.boinc import BoincScenarioParams
 
 
@@ -390,6 +393,85 @@ class TestPlacementInvariance:
         with pytest.raises(AssertionError, match="partition"):
             parallel_module._registration_order([[0, 1], [1, 2]])
         assert parallel_module._registration_order([[1, 3], [0, 2]]) == [2, 0, 3, 1]
+
+
+# ----------------------------------------------------------------------
+# The merged final state
+# ----------------------------------------------------------------------
+
+
+def _hexed(value):
+    """``value`` with every float spelled by ``float.hex`` (exact ==)."""
+    if isinstance(value, float):
+        return value.hex()
+    if is_dataclass(value):
+        value = astuple(value)
+    if isinstance(value, (tuple, list)):
+        return tuple(_hexed(item) for item in value)
+    return value
+
+
+class TestMergedFinalState:
+    @pytest.mark.parametrize("engine", ["fast", "event"])
+    def test_merged_rows_are_the_serial_rows(self, engine, monkeypatch):
+        config, policy = _federated_config("scenario4", duration=90.0, shards=4)
+        config = replace(config, engine=engine)
+        serial = run_once(config, policy)
+        seen = []
+        real = parallel_module.summary_from_rows
+
+        def spy(*args, **kwargs):
+            seen.append(args[3:5])
+            return real(*args, **kwargs)
+
+        # The merge runs in the parent, so the spy sees the merged rows.
+        monkeypatch.setattr(parallel_module, "summary_from_rows", spy)
+        report = run_parallel(config, policy, workers=2)
+        assert report.mode == "parallel"
+        assert report.result.population is None
+        expected = final_rows(serial.registry.consumers, serial.registry.providers)
+        assert len(seen) == 1
+        assert _hexed(seen[0]) == _hexed(expected)
+        assert list(report.result.hub.group_satisfaction) == list(
+            serial.hub.group_satisfaction
+        )
+        assert report.result.digest() == serial.digest()
+
+    def test_departures_and_rejoins_in_serial_sweep_order(self):
+        # Economic scenario 2 sheds providers of both workers at the
+        # same churn sweeps; the merge must list them as the serial
+        # sweep visits them (time, consumers first, registration
+        # order), not grouped by worker.
+        spec = scenario_spec("scenario2", duration=150.0)
+        config = spec.to_config()
+        config = replace(
+            config,
+            federation=FederationConfig(shards=4),
+            latency_low=0.05,
+            latency_high=0.05,
+            track_provider_snapshots=False,
+            autonomy=replace(config.autonomy, rejoin_cooldown=30.0),
+        )
+        (policy,) = [p for p in spec.policies if p.label == "economic"]
+        serial = run_once(config, policy)
+        report = run_parallel(config, policy, workers=2)
+        assert report.mode == "parallel"
+        merged = report.result.hub
+        assert len(serial.hub.departures) > 0 and len(serial.hub.rejoins) > 0
+        assert merged.departures == serial.hub.departures
+        assert merged.rejoins == serial.hub.rejoins
+
+    def test_population_lists_are_in_registration_order(self):
+        # ShardSlice.churn_members hands the churn monitor its
+        # registration-ordered owned lists; the serial monitor sweeps
+        # the population's lists.  They agree when those orders match.
+        from repro.api.presets import available_scenarios
+
+        for name in available_scenarios():
+            spec = scenario_spec(name, duration=30.0)
+            population = wire_run(spec.to_config(), spec.policies[0]).population
+            assert population.consumers == list(population.registry.consumers)
+            assert population.providers == list(population.registry.providers)
 
 
 # ----------------------------------------------------------------------
