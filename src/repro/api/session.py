@@ -19,54 +19,93 @@ A session turns a declarative spec into results:
   ``step_until(t)`` execution with live inspection of the mediator and
   metrics hub.
 
-Workers receive the spec itself: it is plain data and pickles, engine
-included.
+Underneath all three sessions (this one, :class:`~repro.api.sweep.SweepSession`
+and :class:`~repro.api.tune.TuneSession`) is one task runner,
+:func:`run_tasks`: it executes ``(key, spec, policy, replication)``
+tasks serially or on an executor and decides, in one place, what an
+unkept run retains.  Workers receive the spec itself: it is plain data
+and pickles, engine included.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import Executor, ProcessPoolExecutor, as_completed
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.api.results import ExperimentResult, PolicyResult
 from repro.api.spec import ExperimentSpec
 from repro.des.tracing import NULL_RECORDER, TraceRecorder
-from repro.experiments.config import PolicySpec
+from repro.experiments.config import ExperimentConfig, PolicySpec
 from repro.experiments.runner import LiveRun, RunResult, run_once, wire_run
 from repro.metrics.summary import RunSummary
 
 
-def _execute_task(
-    payload: Tuple[ExperimentSpec, int, int]
-) -> Tuple[int, int, RunSummary]:
-    """Worker entry: one (policy, replication) run of a spec.
+#: One run to execute: ``(key, spec, policy_index, replication)``.  The
+#: key is the caller's (a sweep point index, or ``None``) and is handed
+#: back untouched, so one pool can interleave the tasks of many specs.
+Task = Tuple[Hashable, ExperimentSpec, int, int]
+
+
+def _task_config(spec: ExperimentSpec, keep_runs: bool) -> ExperimentConfig:
+    """The config one task runs: the spec's, with ``keep_records`` off
+    unless the run itself is kept.
+
+    An unkept run is summarised and dropped, so retaining each of its
+    AllocationRecords would only inflate peak memory (and would refuse
+    ``run_parallel``'s shard-parallel path).
+    """
+    config = spec.to_config()
+    if config.keep_records and not keep_runs:
+        config = replace(config, keep_records=False)
+    return config
+
+
+def _execute_task(task: Task) -> Tuple[Hashable, int, int, RunSummary]:
+    """Worker entry: one unkept task.
 
     Module-level so it pickles; returns the summary only (live
     simulation objects stay in the worker).
     """
-    spec, policy_index, replication = payload
-    config = spec.to_config()
-    if config.keep_records:
-        # Workers ship summaries back, never live runs, so retaining
-        # every AllocationRecord would only inflate worker peak memory.
-        config = replace(config, keep_records=False)
-    result = run_once(config, spec.policies[policy_index], replication=replication)
-    return policy_index, replication, result.summary
+    ((key, policy_index, replication, summary, _),) = run_tasks([task])
+    return key, policy_index, replication, summary
 
 
-def _execute_keyed_task(
-    payload: Tuple[ExperimentSpec, int, int, int]
-) -> Tuple[int, int, int, RunSummary]:
-    """Worker entry for sweeps: one run of one grid point.
+def run_tasks(
+    tasks: Sequence[Task],
+    keep_runs: bool = False,
+    executor: Optional[Executor] = None,
+) -> Iterator[Tuple[Hashable, int, int, RunSummary, Optional[RunResult]]]:
+    """Execute tasks; yield ``(key, policy_index, replication, summary, run)``.
 
-    Same contract as :func:`_execute_task` with a leading ``key`` (the
-    sweep point index) threaded through, so a single shared pool can
-    interleave tasks of every point with no per-point barrier.
+    With no ``executor`` the tasks run here, in task order, and ``run``
+    is the full :class:`RunResult` when ``keep_runs`` (else None).  On
+    an executor they yield in completion order with ``run`` None: full
+    runs stay in the workers.  Either way every task is deterministic
+    in ``(spec, policy, replication)``, so callers collect by key.
+    Closing the iterator cancels the tasks that have not started;
+    started ones still finish.
     """
-    spec, key, policy_index, replication = payload
-    return (key, *_execute_task((spec, policy_index, replication)))
+    if executor is None:
+        for key, spec, policy_index, replication in tasks:
+            result = run_once(
+                _task_config(spec, keep_runs),
+                spec.policies[policy_index],
+                replication=replication,
+            )
+            yield key, policy_index, replication, result.summary, (
+                result if keep_runs else None
+            )
+        return
+    futures = [executor.submit(_execute_task, task) for task in tasks]
+    try:
+        for future in as_completed(futures):
+            yield (*future.result(), None)
+    finally:
+        for future in futures:
+            future.cancel()
 
 
 def resolve_worker_count(max_workers: Optional[int], task_count: int) -> int:
@@ -74,6 +113,16 @@ def resolve_worker_count(max_workers: Optional[int], task_count: int) -> int:
     if max_workers is None:
         max_workers = os.cpu_count() or 1
     return max(1, min(max_workers, task_count))
+
+
+def _pool(parallel: bool, max_workers: Optional[int], task_count: int):
+    """A process pool for ``task_count`` tasks when ``parallel``, else
+    a context that yields None (serial execution)."""
+    if not parallel:
+        return nullcontext()
+    return ProcessPoolExecutor(
+        max_workers=resolve_worker_count(max_workers, task_count)
+    )
 
 
 @dataclass
@@ -101,7 +150,8 @@ class SessionStream:
     :meth:`result` drains whatever has not been consumed and returns
     the :class:`ExperimentResult`, which is identical whether and how
     the stream was consumed -- and byte-identical to
-    :meth:`Session.run` with the same ``parallel`` flag.
+    :meth:`Session.run` with the same ``parallel`` flag.  With
+    ``keep_runs`` (serial only) the result also holds every full run.
     """
 
     def __init__(
@@ -110,16 +160,16 @@ class SessionStream:
         parallel: bool = False,
         max_workers: Optional[int] = None,
         shard_workers: Optional[int] = None,
+        keep_runs: bool = False,
     ) -> None:
         self._session = session
         self._parallel = parallel
         self._total = len(session)
-        self._events = (
-            session._parallel_events(max_workers)
-            if parallel
-            else session._serial_events(shard_workers=shard_workers)
+        self._events = session._events(
+            parallel, max_workers, shard_workers, keep_runs
         )
         self._summaries: Dict[Tuple[int, int], RunSummary] = {}
+        self._kept: Dict[Tuple[int, int], RunResult] = {}
         self._outstanding: Dict[int, int] = {
             policy_index: session.spec.replications
             for policy_index in range(len(session.spec.policies))
@@ -130,8 +180,10 @@ class SessionStream:
         return self
 
     def __next__(self) -> SessionTaskEvent:
-        policy_index, replication, summary = next(self._events)
+        _, policy_index, replication, summary, run = next(self._events)
         self._summaries[(policy_index, replication)] = summary
+        if run is not None:
+            self._kept[(policy_index, replication)] = run
         self._outstanding[policy_index] -= 1
         policy = self._session.spec.policies[policy_index]
         policy_result = None
@@ -158,7 +210,7 @@ class SessionStream:
             for _ in self:
                 pass
             self._result = self._session._build_result(
-                self._summaries, {}, self._parallel
+                self._summaries, self._kept, self._parallel
             )
         return self._result
 
@@ -253,11 +305,12 @@ class Session:
                 "keep_runs is unavailable with shard_workers: merged "
                 "runs carry summary-grade state, not live simulators"
             )
-        if keep_runs:
-            summaries, kept = self._run_serial(keep_runs=True)
-            return self._build_result(summaries, kept, parallel=False)
-        return self.stream(
-            parallel=parallel, max_workers=max_workers, shard_workers=shard_workers
+        return SessionStream(
+            self,
+            parallel=parallel,
+            max_workers=max_workers,
+            shard_workers=shard_workers,
+            keep_runs=keep_runs,
         ).result()
 
     def stream(
@@ -305,66 +358,36 @@ class Session:
             )
         return ExperimentResult(spec=self.spec, policies=policies, parallel=parallel)
 
-    def _run_serial(
-        self, keep_runs: bool
-    ) -> Tuple[Dict[Tuple[int, int], RunSummary], Dict[Tuple[int, int], RunResult]]:
-        config = self.spec.to_config()
-        summaries: Dict[Tuple[int, int], RunSummary] = {}
-        kept: Dict[Tuple[int, int], RunResult] = {}
-        for policy_index, replication in self.tasks():
-            result = run_once(
-                config, self.spec.policies[policy_index], replication=replication
-            )
-            summaries[(policy_index, replication)] = result.summary
-            if keep_runs:
-                kept[(policy_index, replication)] = result
-        return summaries, kept
-
-    def _serial_events(
-        self, shard_workers: Optional[int] = None
-    ) -> Iterator[Tuple[int, int, RunSummary]]:
-        config = self.spec.to_config()
-        for policy_index, replication in self.tasks():
-            if shard_workers is not None:
-                from repro.federation.parallel import run_parallel
-
-                report = run_parallel(
-                    config,
-                    self.spec.policies[policy_index],
-                    workers=shard_workers,
-                    replication=replication,
-                )
-                # Keep how the run executed, not the merged run itself.
-                self.shard_reports[(policy_index, replication)] = replace(
-                    report, result=None
-                )
-                yield policy_index, replication, report.result.summary
-                continue
-            result = run_once(
-                config, self.spec.policies[policy_index], replication=replication
-            )
-            yield policy_index, replication, result.summary
-
-    def _parallel_events(
-        self, max_workers: Optional[int]
-    ) -> Iterator[Tuple[int, int, RunSummary]]:
-        payloads = [
-            (self.spec, policy_index, replication)
+    def _events(
+        self,
+        parallel: bool,
+        max_workers: Optional[int],
+        shard_workers: Optional[int],
+        keep_runs: bool,
+    ) -> Iterator[Tuple[None, int, int, RunSummary, Optional[RunResult]]]:
+        tasks = [
+            (None, self.spec, policy_index, replication)
             for policy_index, replication in self.tasks()
         ]
-        workers = resolve_worker_count(max_workers, len(payloads))
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            futures = [
-                executor.submit(_execute_task, payload) for payload in payloads
-            ]
-            try:
-                for future in as_completed(futures):
-                    yield future.result()
-            finally:
-                # An abandoned stream should not run the rest of the
-                # session to completion; started tasks still finish.
-                for future in futures:
-                    future.cancel()
+        if shard_workers is None:
+            with _pool(parallel, max_workers, len(tasks)) as executor:
+                yield from run_tasks(tasks, keep_runs, executor)
+            return
+        from repro.federation.parallel import run_parallel
+
+        config = _task_config(self.spec, False)
+        for key, spec, policy_index, replication in tasks:
+            report = run_parallel(
+                config,
+                spec.policies[policy_index],
+                workers=shard_workers,
+                replication=replication,
+            )
+            # Keep how the run executed, not the merged run itself.
+            self.shard_reports[(policy_index, replication)] = replace(
+                report, result=None
+            )
+            yield key, policy_index, replication, report.result.summary, None
 
     # ------------------------------------------------------------------
     # Incremental execution

@@ -47,8 +47,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -69,10 +68,9 @@ from repro.api.results import (
     SweepResult,
 )
 from repro.api.serialization import versioned_payload
-from repro.api.session import _execute_keyed_task, resolve_worker_count
+from repro.api.session import _pool, run_tasks
 from repro.api.spec import ExperimentSpec
 from repro.experiments.config import PolicySpec
-from repro.experiments.runner import run_once
 from repro.metrics.summary import RunSummary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -401,13 +399,8 @@ class SweepStream:
     ) -> None:
         self._session = session
         self._parallel = parallel
-        self._keep_runs = keep_runs
         self._total = len(session)
-        self._events = (
-            session._parallel_events(max_workers)
-            if parallel
-            else session._serial_events(keep_runs)
-        )
+        self._events = session._events(parallel, max_workers, keep_runs)
         self._summaries: Dict[Tuple[int, int, int], RunSummary] = {}
         self._kept: Dict[Tuple[int, int, int], "RunResult"] = {}
         self._outstanding: Dict[int, int] = {
@@ -529,48 +522,15 @@ class SweepSession:
             self, parallel=parallel, max_workers=max_workers, keep_runs=keep_runs
         )
 
-    def _serial_events(
-        self, keep_runs: bool = False
+    def _events(
+        self, parallel: bool, max_workers: Optional[int], keep_runs: bool
     ) -> Iterator[Tuple[int, int, int, RunSummary, Optional["RunResult"]]]:
-        for point in self.points:
-            config = point.spec.to_config()
-            if config.keep_records and not keep_runs:
-                # Grid runs are summarised and dropped; retaining every
-                # AllocationRecord inside each run buys nothing unless
-                # the RunResults themselves are kept (keep_runs).
-                config = replace(config, keep_records=False)
-            for policy_index, policy in enumerate(point.spec.policies):
-                for replication in range(point.spec.replications):
-                    result = run_once(config, policy, replication=replication)
-                    yield (
-                        point.index,
-                        policy_index,
-                        replication,
-                        result.summary,
-                        result if keep_runs else None,
-                    )
-
-    def _parallel_events(
-        self, max_workers: Optional[int]
-    ) -> Iterator[Tuple[int, int, int, RunSummary, Optional["RunResult"]]]:
-        payloads = [
-            (self.points[key].spec, key, policy_index, replication)
+        tasks = [
+            (key, self.points[key].spec, policy_index, replication)
             for key, policy_index, replication in self.tasks()
         ]
-        workers = resolve_worker_count(max_workers, len(payloads))
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            futures = [
-                executor.submit(_execute_keyed_task, payload)
-                for payload in payloads
-            ]
-            try:
-                for future in as_completed(futures):
-                    yield (*future.result(), None)
-            finally:
-                # An abandoned stream should not run the rest of the
-                # grid to completion; started tasks still finish.
-                for future in futures:
-                    future.cancel()
+        with _pool(parallel, max_workers, len(tasks)) as executor:
+            yield from run_tasks(tasks, keep_runs, executor)
 
     # ------------------------------------------------------------------
     # Aggregation

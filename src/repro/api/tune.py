@@ -63,8 +63,8 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field, replace
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Any,
@@ -90,10 +90,9 @@ from repro.api.results import (
     metric_minimizes,
 )
 from repro.api.serialization import versioned_payload
-from repro.api.session import _execute_keyed_task, resolve_worker_count
+from repro.api.session import Task, resolve_worker_count, run_tasks
 from repro.api.sweep import SweepPoint, SweepSpec
 from repro.experiments.config import PolicySpec
-from repro.experiments.runner import run_once
 from repro.metrics.summary import RunSummary
 
 #: Format tag of serialized tune specs; bump on breaking layout changes.
@@ -839,7 +838,7 @@ class TuneSession:
             raced_all_rungs = True
             for rung_index, reps in enumerate(spec.rungs):
                 tasks = [
-                    (index, objective_policy, replication)
+                    (index, self.points[index].spec, objective_policy, replication)
                     for index in survivors
                     for replication in range(previous_reps, reps)
                 ]
@@ -898,7 +897,7 @@ class TuneSession:
         for index in survivors:
             point = self.points[index]
             tasks = [
-                (index, policy_index, replication)
+                (index, point.spec, policy_index, replication)
                 for policy_index in range(len(point.spec.policies))
                 if policy_index != objective_policy
                 for replication in range(replications)
@@ -925,17 +924,15 @@ class TuneSession:
     def _execute(
         self,
         state: _TuneState,
-        tasks: List[Tuple[int, int, int]],
+        tasks: List[Task],
         executor: Optional[ProcessPoolExecutor],
         phase: str,
         rung: Optional[int],
     ) -> Iterator[TuneRunEvent]:
         """One task batch, serially or on the shared pool (keyed)."""
-        if executor is None:
-            completions = self._serial_batch(tasks)
-        else:
-            completions = self._parallel_batch(tasks, executor)
-        for index, policy_index, replication, summary in completions:
+        for index, policy_index, replication, summary, _ in run_tasks(
+            tasks, executor=executor
+        ):
             state.summaries[(index, policy_index, replication)] = summary
             state.runs_executed += 1
             yield TuneRunEvent(
@@ -948,43 +945,6 @@ class TuneSession:
                 runs_executed=state.runs_executed,
                 budget_remaining=state.budget_remaining(),
             )
-
-    def _serial_batch(
-        self, tasks: List[Tuple[int, int, int]]
-    ) -> Iterator[Tuple[int, int, int, RunSummary]]:
-        for index, policy_index, replication in tasks:
-            point = self.points[index]
-            config = point.spec.to_config()
-            if config.keep_records:
-                # The race keeps summaries only; per-run
-                # AllocationRecord retention would be pure overhead.
-                config = replace(config, keep_records=False)
-            result = run_once(
-                config,
-                point.spec.policies[policy_index],
-                replication=replication,
-            )
-            yield index, policy_index, replication, result.summary
-
-    def _parallel_batch(
-        self,
-        tasks: List[Tuple[int, int, int]],
-        executor: ProcessPoolExecutor,
-    ) -> Iterator[Tuple[int, int, int, RunSummary]]:
-        futures = [
-            executor.submit(
-                _execute_keyed_task,
-                (self.points[index].spec, index, policy_index, replication),
-            )
-            for index, policy_index, replication in tasks
-        ]
-        try:
-            for future in as_completed(futures):
-                yield future.result()
-        finally:
-            # An abandoned stream must not keep racing the grid.
-            for future in futures:
-                future.cancel()
 
     # ------------------------------------------------------------------
     # The elimination rule

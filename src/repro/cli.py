@@ -897,9 +897,9 @@ def _run_sweep(args: argparse.Namespace) -> int:
 def _tune_spec_from_file(args: argparse.Namespace):
     """Load ``--spec tune.json``, applying the CLI overrides.
 
-    ``--budget`` / ``--alpha`` / ``--objective`` rebuild the spec, so
-    ``__post_init__`` re-validates the overridden combination (a budget
-    too small for the first rung fails here, not mid-race).  A
+    ``--budget`` / ``--alpha`` / ``--objective`` are field replacements,
+    so ``__post_init__`` re-validates the overridden combination (a
+    budget too small for the first rung fails here, not mid-race).  A
     ``--budget`` of 0 lifts the cap entirely.  ``--engine`` is a
     dot-path override of the search space's base experiment.
     """
@@ -908,25 +908,17 @@ def _tune_spec_from_file(args: argparse.Namespace):
     from repro.api.tune import TuneSpec
 
     spec = TuneSpec.load(args.spec)
-    changed = False
-    data = spec.to_dict()
+    changes = {}
     if args.budget is not None:
-        data["budget"] = None if args.budget <= 0 else args.budget
-        changed = True
+        changes["budget"] = None if args.budget <= 0 else args.budget
     if args.alpha is not None:
-        data["alpha"] = args.alpha
-        changed = True
+        changes["alpha"] = args.alpha
     if args.objective is not None:
-        data["objective"] = args.objective
         # A direction pinned in the file belonged to the file's metric;
         # the overriding metric gets its own natural direction.
-        data["direction"] = None
-        changed = True
-    if changed:
-        spec = TuneSpec.from_dict(data)
-    # Last: to_dict() above leaves the engine out.
+        changes.update(objective=args.objective, direction=None)
     base = spec.sweep.base.derive(_flag_overrides(args, "engine"))
-    return replace(spec, sweep=replace(spec.sweep, base=base))
+    return replace(spec, sweep=replace(spec.sweep, base=base), **changes)
 
 
 def _run_tune(args: argparse.Namespace) -> int:

@@ -103,7 +103,8 @@ class TestExecutionParity:
 
 class TestSweepKeepRecordsDefault:
     """Satellite: grid runs stop retaining AllocationRecords unless the
-    RunResults themselves are kept."""
+    RunResults themselves are kept -- one rule in the task runner, so
+    every session and the worker entry obey it alike."""
 
     def _sweep(self, keep_runs):
         base = (
@@ -123,19 +124,34 @@ class TestSweepKeepRecordsDefault:
             keep_runs=keep_runs,
         )
 
-    def test_records_dropped_without_keep_runs(self, monkeypatch):
-        from repro.api import sweep as sweep_module
+    @pytest.mark.parametrize("caller", ["session", "sweep", "tune", "worker"])
+    def test_records_dropped_without_keep_runs(self, monkeypatch, caller):
+        from repro.api import session as session_module
+        from repro.api.tune import TuneSession, TuneSpec
 
         seen_keep_records = []
-        original = sweep_module.run_once
+        original = session_module.run_once
 
         def spy(config, policy, replication=0):
             seen_keep_records.append(config.keep_records)
             return original(config, policy, replication=replication)
 
-        monkeypatch.setattr(sweep_module, "run_once", spy)
-        SweepSession(self._sweep(keep_runs=False)).run()
+        monkeypatch.setattr(session_module, "run_once", spy)
+        sweep = self._sweep(keep_runs=False)
+        run = {
+            "session": lambda: Session(sweep.base).run(keep_runs=False),
+            "sweep": lambda: SweepSession(sweep).run(),
+            "tune": lambda: TuneSession(TuneSpec(sweep=sweep)).run(),
+            "worker": lambda: session_module._execute_task((0, sweep.base, 0, 0)),
+        }[caller]
+        run()
         assert seen_keep_records and not any(seen_keep_records)
+
+    def test_kept_session_run_keeps_its_records(self):
+        result = Session(self._sweep(keep_runs=False).base).run()
+        run = result.policies[0].runs[0]
+        assert run.mediator.keep_records
+        assert run.mediator.records  # AllocationRecords retained
 
     def test_keep_runs_keeps_the_old_behaviour(self):
         result = SweepSession(self._sweep(keep_runs=True)).run(keep_runs=True)

@@ -2,11 +2,15 @@
 
 import json
 import pickle
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 
 from repro.api.builder import Experiment
-from repro.api.session import Session, _execute_task
+from repro.api import session as session_module
+from repro.api.session import Session, _execute_task, run_tasks
 from repro.api.spec import ExperimentSpec
 from repro.experiments.config import PolicySpec
 from repro.experiments.runner import run_once
@@ -69,10 +73,34 @@ class TestParallel:
         """The worker rebuilds the run from the pickled spec alone."""
         shipped = pickle.loads(pickle.dumps(SPEC))
         assert shipped == SPEC
-        policy_index, replication, summary = _execute_task((shipped, 1, 1))
-        assert (policy_index, replication) == (1, 1)
+        key, policy_index, replication, summary = _execute_task(("k", shipped, 1, 1))
+        assert (key, policy_index, replication) == ("k", 1, 1)
         expected = run_once(SPEC.to_config(), SPEC.policies[1], replication=1)
         assert summary.as_dict() == expected.summary.as_dict()
+
+
+class TestRunTasks:
+    def test_closing_the_stream_cancels_unstarted_tasks(self, monkeypatch):
+        """An abandoned stream does not run the rest of its tasks: the
+        runner cancels every future that has not started."""
+        ran = []
+        release = threading.Event()
+
+        def spy(config, policy, replication=0):
+            ran.append(replication)
+            if len(ran) > 1:
+                # Hold the second task until the stream has been closed.
+                release.wait(timeout=10.0)
+            return SimpleNamespace(summary=replication)
+
+        monkeypatch.setattr(session_module, "run_once", spy)
+        tasks = [(None, SPEC, 0, replication) for replication in range(6)]
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            stream = run_tasks(tasks, executor=executor)
+            assert next(stream) == (None, 0, 0, 0, None)
+            stream.close()
+            release.set()
+        assert 1 <= len(ran) <= 2 < len(tasks)
 
 
 class TestLiveRun:

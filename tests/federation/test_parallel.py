@@ -656,6 +656,29 @@ class TestSessionShardWorkers:
         assert result.to_dict() == Session(spec).run(keep_runs=False).to_dict()
         assert "groups" not in result.to_json()
 
+    def test_keep_records_does_not_block_the_parallel_path(self):
+        """A session keeps no runs, so it runs them unkept: a spec's
+        ``keep_records`` must not send every run to the serial fallback."""
+        from repro.api.presets import scenario_spec
+        from repro.api.session import Session
+
+        spec = scenario_spec("scenario3", duration=120.0, n_providers=60).derive(
+            {
+                "federation.shards": 4,
+                "latency_low": 0.05,
+                "latency_high": 0.05,
+                "track_provider_snapshots": False,
+                "replications": 1,
+                "keep_records": True,
+            }
+        )
+        session = Session(spec)
+        result = session.run(shard_workers=2)
+        assert len(session.shard_reports) == len(spec.policies)
+        for report in session.shard_reports.values():
+            assert report.mode == "parallel", report.reason
+        assert result.to_dict() == Session(spec).run(keep_runs=False).to_dict()
+
     def test_mutually_exclusive_with_parallel(self):
         from repro.api.session import Session
 

@@ -2,7 +2,9 @@
 
 Each ``--json`` digest below was hashed before the CLI flags became
 dot-path overrides (``ExperimentSpec.derive``); a flag that drops or
-reorders a field changes the bytes.  ``_serve_config`` is pinned by
+reorders a field changes the bytes.  The ``tune-*`` digests were hashed
+while ``sbqa tune`` still applied its overrides through a
+``TuneSpec.to_dict()`` round trip.  ``_serve_config`` is pinned by
 equality with the hand-built ``(config, policy)`` pair instead.
 """
 
@@ -12,14 +14,19 @@ from pathlib import Path
 
 import pytest
 
+from repro.api.builder import Experiment
 from repro.api.serialization import canonical_population
 from repro.api.spec import ExperimentSpec
+from repro.api.sweep import SweepSpec
+from repro.api.tune import TuneSpec
 from repro.cli import _serve_config, build_parser, main
 from repro.experiments.config import ExperimentConfig, PolicySpec
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO = str(ROOT / "examples" / "specs" / "demo.json")
 SWEEP_OMEGA = str(ROOT / "examples" / "specs" / "sweep_omega.json")
+#: Stands for the path of a small TuneSpec the test writes (``_tune_spec``).
+TUNE = "<tune.json>"
 
 CASES = {
     # demo.json has no federation block: --shards materialises one.
@@ -44,12 +51,49 @@ CASES = {
          "--providers", "20"],
         "346574c1a37894fbd093708f52282035e04459f6886218b6d0e70fec16f1d657",
     ),
+    "tune-spec": (
+        ["tune", "--spec", TUNE, "--budget", "9", "--alpha", "0.2",
+         "--engine", "event"],
+        "c0dc7b70c73e6e3733e84a6b3580206c91cda860042910a96163cee6f217d25e",
+    ),
+    # The file pins direction "minimize"; --objective resets it.
+    "tune-objective": (
+        ["tune", "--spec", TUNE, "--budget", "0", "--objective",
+         "provider_sat_final"],
+        "db21f32eb837e373659d65ca4a1d23200d9c474bb0c5ff993197ac1dd36caa5f",
+    ),
 }
+
+
+def _tune_spec(path):
+    base = (
+        Experiment.builder()
+        .named("pin-tune-base")
+        .seed(5)
+        .duration(100.0)
+        .providers(16)
+        .policy("sbqa", kn=3)
+        .policy("capacity")
+        .replications(2)
+        .build()
+    )
+    sweep = SweepSpec(
+        name="pin-tune-grid",
+        base=base,
+        axes=({"path": "sbqa.omega", "values": [0.0, 1.0, "adaptive"]},),
+    )
+    spec = TuneSpec(
+        name="pin-tune", sweep=sweep, direction="minimize", budget=6, rungs=(1, 2)
+    )
+    return str(spec.save(path))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_json_digest_is_pinned(case, tmp_path, capsys):
     argv, expected = CASES[case]
+    if TUNE in argv:
+        tune = _tune_spec(tmp_path / "tune.json")
+        argv = [tune if arg == TUNE else arg for arg in argv]
     out = tmp_path / "digest.json"
     assert main(argv + ["--json", str(out)]) == 0
     capsys.readouterr()
