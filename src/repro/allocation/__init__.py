@@ -16,10 +16,10 @@ The demo evaluates SbQA against the techniques its scenarios name:
 
 All of them implement :class:`repro.core.policy.AllocationPolicy`, so
 the satisfaction model analyses them exactly like SbQA (paper claim i).
-Each baseline states its decision once, as ``select_fast``; the event
-engine and traced runs call ``select``, which is the same decision
-plus the trace lines a policy has (see docs/performance.md's policy
-coverage table).
+Each baseline states its decision once, as ``select_fast``, which both
+engines call, and its trace lines, if any, as ``trace_lines`` -- read
+from the finished record (see docs/performance.md's policy coverage
+table).
 """
 
 from repro.allocation.capacity import CapacityBasedPolicy

@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 from repro.core.policy import (
     AllocationContext,
-    AllocationDecision,
     AllocationPolicy,
     FastAllocationDecision,
     allocation_count,
@@ -72,24 +71,6 @@ class BoincSharesPolicy(AllocationPolicy):
         entitlement = share * elapsed * provider.capacity
         granted = self._granted.get((provider.participant_id, consumer_id), 0.0)
         return entitlement - granted
-
-    def select(
-        self,
-        query: "Query",
-        candidates: Sequence["Provider"],
-        ctx: AllocationContext,
-    ) -> AllocationDecision:
-        """:meth:`select_fast`'s decision, then a trace line."""
-        decision = self.select_fast(query, candidates, ctx)
-        if ctx.trace.enabled:
-            if decision.allocated:
-                message = f"-> {[p.participant_id for p in decision.allocated]}"
-            else:
-                message = f"no provider with share budget for {query.consumer_id}"
-            ctx.trace.record(
-                ctx.now, "boinc-shares", f"query {query.qid}: {message}", qid=query.qid
-            )
-        return decision
 
     def select_fast(
         self,
@@ -141,6 +122,12 @@ class BoincSharesPolicy(AllocationPolicy):
             key = (provider.participant_id, consumer_id)
             granted[key] = granted.get(key, 0.0) + demand
         return FastAllocationDecision(allocated=allocated)
+
+    def trace_lines(self, record, n_candidates: int):
+        """``boinc-shares``: the allocated providers, or the refusal."""
+        if record.allocated:
+            return (("boinc-shares", f"-> {record.allocated_ids}"),)
+        return (("boinc-shares", f"no provider with share budget for {record.query.consumer_id}"),)
 
     def describe(self) -> dict:
         return {"name": self.name, "overdraft": self.overdraft}

@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.core.policy import (
     AllocationContext,
-    AllocationDecision,
     AllocationPolicy,
     FastAllocationDecision,
     allocation_count,
@@ -39,23 +38,6 @@ class CapacityBasedPolicy(AllocationPolicy):
 
     name = "capacity"
     consults_participants = False
-
-    def select(
-        self,
-        query: "Query",
-        candidates: Sequence["Provider"],
-        ctx: AllocationContext,
-    ) -> AllocationDecision:
-        """:meth:`select_fast`'s decision, then a trace line."""
-        decision = self.select_fast(query, candidates, ctx)
-        if ctx.trace.enabled:
-            ctx.trace.record(
-                ctx.now,
-                "capacity",
-                f"query {query.qid}: -> {[p.participant_id for p in decision.allocated]}",
-                qid=query.qid,
-            )
-        return decision
 
     def select_fast(
         self,
@@ -84,6 +66,12 @@ class CapacityBasedPolicy(AllocationPolicy):
         rows.sort()
         take = allocation_count(query, len(rows))
         return FastAllocationDecision(allocated=[row[3] for row in rows[:take]])
+
+    select = select_fast  # bench/tracer.py wraps this name on the class
+
+    def trace_lines(self, record, n_candidates: int):
+        """``capacity``: the allocated providers, most headroom first."""
+        return (("capacity", f"-> {record.allocated_ids}"),)
 
     def describe(self) -> dict:
         return {"name": self.name, "criterion": "available capacity"}

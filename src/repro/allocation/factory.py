@@ -7,7 +7,7 @@ names to constructors.  SbQA parameters ride in an
 
 Every policy built here works under both engines without per-policy
 special-casing: each writes its decision once, as ``select_fast``, and
-its ``select`` is that decision plus any trace lines.
+its trace lines are read from the finished record by ``trace_lines``.
 """
 
 from __future__ import annotations

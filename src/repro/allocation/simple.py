@@ -4,11 +4,11 @@ These are not in the paper's scenario list; they anchor the ablation
 benches (a technique must at least beat random to matter) and give the
 test suite simple, fully predictable policies to assert against.
 
-None of them writes trace lines, so each implements only
-``select_fast`` (see :class:`~repro.core.policy.AllocationPolicy`), a
-decorate-sort over inlined load reads returning a slot-based
-:class:`~repro.core.policy.FastAllocationDecision`; the inherited
-``select`` is that same decision, which is what the event engine runs.
+Each implements only ``select_fast`` (see
+:class:`~repro.core.policy.AllocationPolicy`), a decorate-sort over
+inlined load reads returning a slot-based
+:class:`~repro.core.policy.FastAllocationDecision`, and writes no trace
+lines.
 """
 
 from __future__ import annotations

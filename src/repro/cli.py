@@ -39,6 +39,14 @@ from repro.analysis.export import series_to_csv
 from repro.experiments.scenarios import ALL_SCENARIOS
 
 
+def _positive_int(raw: str) -> int:
+    """argparse type: an integer >= 1 (argparse reports the error, exit 2)."""
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sbqa",
@@ -137,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     trace = sub.add_parser("trace", help="trace the SbQA mediation pipeline (Figure 1)")
-    trace.add_argument("--queries", type=int, default=3, help="queries to trace")
+    trace.add_argument("--queries", type=_positive_int, default=3, help="queries to trace")
     trace.add_argument("--seed", type=int, default=None, help="root random seed")
 
     sweep = sub.add_parser(
@@ -744,7 +752,7 @@ def _run_trace(args: argparse.Namespace) -> int:
     shown = 0
     for event in recorder.events:
         print(event.format())
-        if event.category == "allocate":
+        if event.category in ("allocate", "fail"):
             shown += 1
             if shown >= args.queries:
                 break

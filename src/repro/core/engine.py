@@ -12,10 +12,7 @@ the event-faithful core while cutting the per-mediation constant:
   (``Entity.FAST_HANDLERS``): same latency draws in the same order,
   same scheduling instants, same event ordering -- only the per-send
   allocations disappear.  Unknown kinds fall back to the envelope path.
-* :class:`FastMediator` asks policies for their ``select_fast``
-  decision directly whenever tracing is off (skipping ``select``,
-  which is that decision plus optional trace lines), reads ``P_q``
-  from the registry's cached
+* :class:`FastMediator` reads ``P_q`` from the registry's cached
   capability snapshot (handing SbQA that snapshot's
   :class:`~repro.core.soa.ConsultColumns` to decide on, and committing
   every policy's decision in their rows), computes the consultation
@@ -51,7 +48,6 @@ from repro.core.mediator import Mediator
 from repro.core.policy import AllocationContext
 from repro.core.soa import ConsultColumns, LazyAllocationRecord, fused_policy_supported
 from repro.des.network import Network
-from repro.des.tracing import NULL_RECORDER
 from repro.system.query import AllocationRecord, QueryResult, QueryStatus
 
 #: Engine mode names accepted by :func:`resolve_engine`.
@@ -304,11 +300,9 @@ class _CollapsedDispatch:
 class FastMediator(Mediator):
     """The hot-path mediator: same pipeline, batched and collapsed.
 
-    Four deviations from the base class, none of them observable in
+    Three deviations from the base class, none of them observable in
     the results:
 
-    * decisions come from the policy's ``select_fast`` whenever
-      tracing is off, without ``select``'s trace-line check;
     * ``P_q`` is the registry's cached
       :meth:`~repro.system.registry.SystemRegistry.capable_snapshot`
       tuple -- no per-mediation list build;
@@ -316,7 +310,7 @@ class FastMediator(Mediator):
       <repro.des.network.LatencyModel.constant_delay>`, the
       consultation delay is ``2c`` analytically instead of a max over
       ``|Kn| + 1`` identical round-trips;
-    * when that constant is positive and tracing is off, the
+    * when that constant is positive, the
       ``len(allocated) + 1`` same-instant deliveries of an allocation
       are one :class:`_CollapsedDispatch` event (two events per
       dispatch instead of ``len(allocated) + 2``), and the result
@@ -335,9 +329,7 @@ class FastMediator(Mediator):
     Definition 3 reads the latency model, so ``select_fast`` is handed
     the snapshot's columns and decides through the same
     :meth:`~repro.core.soa.ConsultColumns.decide` the fused kernel
-    calls.  Three routes, counted in :attr:`route_counts`
-    (``traced`` is the fourth count: the base-class pipeline, which
-    calls ``select`` for its trace lines):
+    calls.  Three routes, counted in :attr:`route_counts`:
 
     * **fused** -- SbQA, positive constant latency: ``decide`` + lazy
       record + collapsed dispatch;
@@ -354,8 +346,8 @@ class FastMediator(Mediator):
     for what the columns cannot see: a user-defined intention model in
     ``P_q``, a decision that brings its own intentions, an informed
     provider outside the snapshot, the ``_FUSED_KERNEL`` hook.  (A
-    shard's forwarded mediations and traced ones commit on objects too,
-    counted in ``forwarded`` and ``route_counts["traced"]`` only.)
+    shard's forwarded mediations commit on objects too, counted in
+    ``forwarded`` only.)
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -365,7 +357,7 @@ class FastMediator(Mediator):
         # One reusable context for the hot loop (consumed synchronously
         # by exactly one select_fast per mediation; .now and .columns
         # change).
-        self._ctx = AllocationContext(now=0.0, trace=NULL_RECORDER)
+        self._ctx = AllocationContext(now=0.0)
         # Structure-of-arrays state (see repro.core.soa): columns are
         # cached per (consumer, topic) -- this mediator's, so per shard
         # in a federation -- for every policy, whatever the latency
@@ -389,7 +381,7 @@ class FastMediator(Mediator):
         #: never part of a result dict or digest.  Mediations that
         #: found ``P_q`` empty, and a shard's forwarded ones (counted in
         #: ``forwarded``), took none of these routes.
-        self.route_counts = {"fused": 0, "columns": 0, "scalar": 0, "traced": 0}
+        self.route_counts = {"fused": 0, "columns": 0, "scalar": 0}
         #: Mediations by commit stage; execution metadata likewise.
         self.commit_counts = {"rows": 0, "objects": 0}
 
@@ -405,9 +397,6 @@ class FastMediator(Mediator):
         return {self._scalar_reason: scalar} if scalar else {}
 
     def mediate(self, query) -> AllocationRecord:
-        if self.trace.enabled:
-            self.route_counts["traced"] += 1
-            return super().mediate(query)
         self.mediations += 1
         meta = self.registry.snapshot_meta(query.topic)
         candidates = meta.snapshot
@@ -512,9 +501,6 @@ class FastMediator(Mediator):
     def _dispatch_record(
         self, record: AllocationRecord, consumer, consult_delay: float
     ) -> None:
-        if self.trace.enabled:
-            super()._dispatch_record(record, consumer, consult_delay)
-            return
         c = self._constant_one_way
         if c is None or c <= 0.0:
             # Per-delivery sends (their delays are drawn at dispatch

@@ -61,7 +61,7 @@ class Mediator(Entity):
         Optional metrics hub; every mediation (success or failure) is
         reported to it.
     trace:
-        Optional structured trace (Figure-1 pipeline bench).
+        Optional structured trace: :meth:`_store` renders each record.
     adequation_over_candidates:
         When True, the adequation value stored on each record considers
         the whole capable set ``P_q`` (one consumer-intention
@@ -124,22 +124,10 @@ class Mediator(Entity):
         # engine): O(|P_q|) on rebuild, one dict probe between
         # membership/online transitions.  Read-only downstream.
         candidates = self.registry.capable_snapshot(query.topic)
-        # Tracing is lazy: the f-string payloads are only built when a
-        # recorder is actually listening, so the common (untraced) case
-        # costs one attribute check per stage.
-        if self.trace.enabled:
-            self.trace.record(
-                self.now,
-                "mediate",
-                f"query {query.qid} from {query.consumer_id}: |P_q|={len(candidates)}",
-                qid=query.qid,
-            )
         if not candidates:
             return self._fail(query)
 
-        decision = self.policy.select(
-            query, candidates, AllocationContext(now=self.now, trace=self.trace)
-        )
+        decision = self.policy.select_fast(query, candidates, AllocationContext(now=self.now))
         if decision.is_failure:
             return self._fail(query)
         return self._commit(query, candidates, decision)
@@ -153,10 +141,6 @@ class Mediator(Entity):
         # Equation 1 with an empty performer set: satisfaction is 0.
         query.consumer.record_query_satisfaction(0.0, adequation=0.0)
         self.network.send("mediation-failed", self, query.consumer, payload=record)
-        if self.trace.enabled:
-            self.trace.record(
-                self.now, "fail", f"query {query.qid}: no capable provider"
-            )
         self._store(record)
         return record
 
@@ -224,14 +208,6 @@ class Mediator(Entity):
         )
         query.status = QueryStatus.ALLOCATED
         self._dispatch_record(record, consumer, consult_delay)
-        if self.trace.enabled:
-            self.trace.record(
-                self.now,
-                "allocate",
-                f"query {query.qid}: -> {sorted(allocated_ids)} "
-                f"(informed {len(record.informed)}, consult_delay={consult_delay:.3f})",
-                qid=query.qid,
-            )
         self._store(record)
         return record
 
@@ -270,9 +246,11 @@ class Mediator(Entity):
         return self.network.latency.worst_round_trip(self, consumer, informed)
 
     def _store(self, record: AllocationRecord) -> None:
-        """Every record of every engine and commit route ends here: keep
-        it, report it, and -- when not kept -- drop its decision state
-        while the query is still in flight."""
+        """Every record of every engine and commit route ends here: trace
+        it, keep it, report it, and -- when not kept -- drop its decision
+        state while the query is still in flight."""
+        if self.trace.enabled:
+            self._trace_record(record)
         keep = self.keep_records
         if keep:
             self.records.append(record)
@@ -280,6 +258,29 @@ class Mediator(Entity):
             self.observer.record_mediation(record)
         if not keep:
             record.drop_decision_state()
+
+    def _trace_record(self, record: AllocationRecord) -> None:
+        """A record's Figure-1 lines at its decision instant: ``mediate``,
+        the policy's ``trace_lines`` when ``P_q`` was not empty, then
+        ``allocate`` or ``fail``."""
+        trace, query, now = self.trace, record.query, record.decided_at
+        qid = query.qid
+        n = self._pool_size(query)
+        trace.record(now, "mediate", f"query {qid} from {query.consumer_id}: |P_q|={n}", qid=qid)
+        if n:
+            for category, text in self.policy.trace_lines(record, n):
+                trace.record(now, category, f"query {qid}: {text}", qid=qid)
+        if not record.allocated:
+            trace.record(now, "fail", f"query {qid}: no capable provider")
+            return
+        allocated = sorted(record.allocated_ids)
+        delay = record.consultation_delay
+        text = f"-> {allocated} (informed {len(record.informed)}, consult_delay={delay:.3f})"
+        trace.record(now, "allocate", f"query {qid}: {text}", qid=qid)
+
+    def _pool_size(self, query: Query) -> int:
+        """``|P_q|`` of a stored record: no registry change since the decision."""
+        return len(self.registry.capable_snapshot(query.topic))
 
     def __repr__(self) -> str:
         return (

@@ -22,11 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.des.tracing import NULL_RECORDER, TraceRecorder
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.system.provider import Provider
-    from repro.system.query import Query
+    from repro.system.query import AllocationRecord, Query
 
 
 @dataclass
@@ -34,11 +32,10 @@ class AllocationContext:
     """What a policy may consult while deciding (beyond the query)."""
 
     now: float
-    trace: TraceRecorder = NULL_RECORDER
     #: The candidates' :class:`~repro.core.soa.ConsultColumns` for this
     #: (consumer, topic), refreshed, when the fast engine has them;
-    #: None on the event engine, under tracing, for model mixes the
-    #: columns cannot encode and for policies that do not decide on them.
+    #: None on the event engine, for model mixes the columns cannot
+    #: encode and for policies that do not decide on them.
     columns: Optional[object] = None
 
 
@@ -153,10 +150,8 @@ class AllocationPolicy:
 
         ``candidates`` is the non-empty capable set ``P_q``; the
         mediator handles the empty case before calling the policy.
-        This is the method the event engine and traced runs call: the
-        default is :meth:`select_fast`'s decision, and a policy that
-        writes trace lines overrides it to add them (only when
-        ``ctx.trace.enabled``) around that same decision.
+        A third-party policy may write this instead of
+        :meth:`select_fast`, which the mediators call.
         """
         if type(self).select_fast is AllocationPolicy.select_fast:
             raise NotImplementedError(_OVERRIDE_ONE % type(self).__name__)
@@ -168,13 +163,12 @@ class AllocationPolicy:
         candidates: Sequence["Provider"],
         ctx: AllocationContext,
     ) -> "AllocationDecision":
-        """The decision itself, with no trace lines.
+        """The decision itself: what every mediator of both engines calls.
 
-        The fast engine (:mod:`repro.core.engine`) calls this whenever
-        tracing is off.  A policy implements either method: the default
-        here delegates to :meth:`select`, and :meth:`select` to this.
-        Built-in policies implement this one and may rely on three
-        hot-path facts:
+        A policy implements either method: the default here delegates
+        to :meth:`select`, and :meth:`select` to this.  Built-in
+        policies implement this one and may rely on three hot-path
+        facts:
 
         * ``candidates`` is usually an immutable snapshot (the
           registry's reusable :meth:`~repro.system.registry.
@@ -192,6 +186,13 @@ class AllocationPolicy:
         if type(self).select is AllocationPolicy.select:
             raise NotImplementedError(_OVERRIDE_ONE % type(self).__name__)
         return self.select(query, candidates, ctx)
+
+    def trace_lines(self, record: "AllocationRecord", n_candidates: int):
+        """This policy's Figure-1 lines for a stored record decided over
+        ``n_candidates`` > 0 providers: ``(category, text)`` pairs that
+        ``Mediator._trace_record`` writes as ``query <qid>: <text>``.
+        None by default."""
+        return ()
 
     def describe(self) -> Dict[str, object]:
         """Human-readable parameterisation (what :func:`repr` shows)."""

@@ -107,35 +107,6 @@ class SbQAPolicy(AllocationPolicy):
             else None
         )
 
-    def select(
-        self,
-        query: "Query",
-        candidates: Sequence["Provider"],
-        ctx: AllocationContext,
-    ) -> AllocationDecision:
-        """:meth:`select_fast`'s decision, then its ``knbest`` and
-        ``sqlb`` trace lines when a recorder is listening."""
-        decision = self.select_fast(query, candidates, ctx)
-        trace = ctx.trace
-        if trace.enabled:
-            qid = query.qid
-            trace.record(
-                ctx.now,
-                "knbest",
-                f"query {qid}: |P_q|={len(candidates)} -> "
-                f"|K|={decision.metadata['k_effective']} -> |Kn|={len(decision.informed)}",
-                qid=qid,
-            )
-            # scores is keyed in ranking order
-            trace.record(
-                ctx.now,
-                "sqlb",
-                f"query {qid}: ranked {list(decision.scores)}, "
-                f"allocated {sorted(p.participant_id for p in decision.allocated)}",
-                qid=qid,
-            )
-        return decision
-
     def select_fast(
         self,
         query: "Query",
@@ -227,6 +198,21 @@ class SbQAPolicy(AllocationPolicy):
             omegas=dict(zip(pids, omega_list)),
             consult_messages=2 * len(working) + 2,
             metadata={"k_effective": k_effective},
+        )
+
+    select = select_fast  # bench/tracer.py wraps this name on the class
+
+    def trace_lines(self, record, n_candidates: int):
+        """``knbest``: the stage sizes (stage 1 samples ``min(k, |P_q|)``);
+        ``sqlb``: the ranking -- every record keys ``scores`` in ranking
+        order -- and the allocated set."""
+        return (
+            (
+                "knbest",
+                f"|P_q|={n_candidates} -> |K|={min(self.selector.k, n_candidates)} "
+                f"-> |Kn|={len(record.informed)}",
+            ),
+            ("sqlb", f"ranked {list(record.scores)}, allocated {sorted(record.allocated_ids)}"),
         )
 
     def describe(self) -> dict:

@@ -2,12 +2,14 @@
 
 A :class:`TraceRecorder` collects :class:`TraceEvent` records --
 ``(time, category, message, data)`` tuples -- from any component that
-was handed the recorder.  It backs:
+was handed the recorder.  A mediator renders each finished allocation
+record into it (``Mediator._store``), so a traced run executes the
+same code as an untraced one.  It backs:
 
-* the Figure-1 pipeline bench, which shows the stages of one SbQA
+* the Figure-1 pipeline trace, which shows the stages of one SbQA
   mediation (candidates -> KnBest -> intentions -> scores -> allocation);
 * integration tests that assert on the sequence of system actions;
-* the ``--trace`` mode of the CLI.
+* ``sbqa trace``.
 
 Recording is cheap (an append) and can be disabled wholesale or
 filtered by category so full-scale experiments are not slowed down.

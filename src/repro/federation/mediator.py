@@ -97,7 +97,7 @@ class _ShardForwarding:
         super().__init__(*args, **kwargs)
         self.shard_ordinal = shard_ordinal
         self._federation = federation
-        self._forward_peers: Tuple[int, ...] = ()
+        self._forwarding: Optional[Tuple[Sequence, Tuple[int, ...]]] = None
         self._forward_threshold_static = None
         #: Forwarded-mediation count for this shard (serve /metrics
         #: surfaces it per shard so dashboards can show imbalance).
@@ -123,24 +123,27 @@ class _ShardForwarding:
         self.forwarded += 1
         # One candidate request/reply pair per contributing peer shard.
         self.coordination_messages += 2 * len(peers)
-        decision = self.policy.select(
-            query, merged, AllocationContext(now=self.now, trace=self.trace)
-        )
-        if not decision.allocated:
-            return self._fail(query)
+        decision = self.policy.select_fast(query, merged, AllocationContext(now=self.now))
         # _consultation_delay (called from _commit for consulting
-        # policies) must see the peer set to add the forward hop.
-        self._forward_peers = peers
+        # policies) adds the forward hop to the peers; the trace shows
+        # the merged pool.
+        self._forwarding = (merged, peers)
         try:
+            if not decision.allocated:
+                return self._fail(query)
             return self._commit(query, merged, decision)
         finally:
-            self._forward_peers = ()
+            self._forwarding = None
 
     def _consultation_delay(self, consumer, informed) -> float:
         delay = super()._consultation_delay(consumer, informed)
-        if self._forward_peers:
-            delay += self._forward_hop(self._forward_peers)
+        if self._forwarding is not None:
+            delay += self._forward_hop(self._forwarding[1])
         return delay
+
+    def _pool_size(self, query) -> int:
+        forwarding = self._forwarding
+        return super()._pool_size(query) if forwarding is None else len(forwarding[0])
 
     def _forward_hop(self, peers: Sequence[int]) -> float:
         """The extra consultation hop of one forwarded mediation.

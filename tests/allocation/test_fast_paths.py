@@ -23,7 +23,6 @@ from repro.core.policy import (
 from repro.des.network import Network
 from repro.des.rng import RandomRoot, RandomStream
 from repro.des.scheduler import Simulator
-from repro.des.tracing import NULL_RECORDER
 from repro.system.consumer import Consumer
 from repro.system.provider import Provider
 from repro.system.query import Query
@@ -162,7 +161,7 @@ def test_select_fast_matches_select(policy_name, population):
             n_results=1 + round_index % 3,
             issued_at=sim.now,
         )
-        ctx = AllocationContext(now=sim.now, trace=NULL_RECORDER)
+        ctx = AllocationContext(now=sim.now)
         a = reference.decide(query, providers, sim.now)
         b = policy.select_fast(query, tuple(providers), ctx)
         assert isinstance(b, FastAllocationDecision)
@@ -176,7 +175,7 @@ def test_round_robin_snapshot_cache_tracks_new_snapshots(population):
     (e.g. after churn) must re-sort, not reuse the stale order."""
     sim, providers, consumer = population
     policy = make_policy("round-robin", RandomRoot(1))
-    ctx = AllocationContext(now=0.0, trace=NULL_RECORDER)
+    ctx = AllocationContext(now=0.0)
 
     def query():
         return Query(
@@ -212,7 +211,7 @@ def test_default_select_fast_delegates_to_select(population):
             return FastAllocationDecision(allocated=[candidates[0]])
 
     sim, providers, consumer = population
-    ctx = AllocationContext(now=0.0, trace=NULL_RECORDER)
+    ctx = AllocationContext(now=0.0)
     query = Query(
         consumer=consumer,
         topic="c0",

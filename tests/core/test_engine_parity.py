@@ -43,7 +43,7 @@ from repro.core.scoring import ScoredProvider, rank_providers, sqlb_score
 from repro.des.network import FixedLatency, Network, UniformLatency, ZeroLatency
 from repro.des.rng import RandomStream
 from repro.des.scheduler import Simulator
-from repro.des.tracing import NULL_RECORDER, TraceRecorder
+from repro.des.tracing import TraceRecorder
 from repro.experiments.config import ExperimentConfig, PolicySpec
 from repro.experiments.runner import run_once, wire_run
 from repro.system.consumer import Consumer
@@ -170,7 +170,7 @@ class TestSelectFastParity:
         # Same stream seed => both draw the same stage-1 sample.
         selector = KnBestSelector(config.k, config.kn, RandomStream(3))
         fast = SbQAPolicy(config, RandomStream(3))
-        ctx = AllocationContext(now=0.0, trace=NULL_RECORDER)
+        ctx = AllocationContext(now=0.0)
         for round_index in range(30):
             query = Query(
                 consumer=consumer,
@@ -207,7 +207,7 @@ class TestSelectFastParity:
             n_providers=1
         )
         policy = SbQAPolicy(SbQAConfig(k=5, kn=2), RandomStream(1))
-        ctx = AllocationContext(now=0.0, trace=NULL_RECORDER)
+        ctx = AllocationContext(now=0.0)
         query = Query(
             consumer=consumer,
             topic="c0",
@@ -440,8 +440,9 @@ class TestRunDigestParity:
         assert allocations("fast") == allocations("event")
 
     def test_trace_runs_are_identical_and_traced(self):
-        """With tracing on, the fast engine falls back to the faithful
-        paths and records the same trace as the event engine."""
+        """With tracing on, the fast engine takes its production routes
+        (the recorder reads finished records) and records the same
+        trace as the event engine."""
         from repro.system.query import reset_query_counter
 
         traces = {}
@@ -457,9 +458,17 @@ class TestRunDigestParity:
                 (e.time, e.category, e.message) for e in recorder.events
             ]
             summaries[engine] = json.dumps(result.summary.as_dict(), sort_keys=True)
+            if engine == "fast":
+                traced_routes = result.mediator.route_counts
         assert summaries["fast"] == summaries["event"]
         assert traces["fast"] == traces["event"]
         assert traces["fast"]  # something was actually recorded
+        reset_query_counter()
+        untraced = run_once(
+            ExperimentConfig(name="traced", duration=60.0, engine="fast"),
+            PolicySpec(name="sbqa"),
+        )
+        assert traced_routes == untraced.mediator.route_counts
 
 
 class TestLazyTracing:

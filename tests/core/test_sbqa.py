@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.mediator import Mediator
 from repro.core.policy import AllocationContext
 from repro.core.sbqa import SbQAConfig, SbQAPolicy
 from repro.des.rng import RandomStream
@@ -105,14 +106,17 @@ class TestSelection:
         assert decision.omegas["p0"] == pytest.approx(0.95)
 
     def test_trace_records_pipeline_stages(self, factory):
+        """The policy's lines are rendered from the record the mediator
+        stores, between its ``mediate`` and ``allocate`` lines."""
         providers = [factory.provider(f"p{i}") for i in range(3)]
         consumer = factory.consumer(preferences={p.participant_id: 0.4 for p in providers})
         query = factory.query(consumer, n_results=1)
         trace = TraceRecorder()
-        policy = make_policy(k=3, kn=2)
-        policy.select(query, providers, AllocationContext(now=0.0, trace=trace))
-        assert trace.by_category("knbest")
-        assert trace.by_category("sqlb")
+        Mediator(
+            factory.sim, factory.network, factory.registry, make_policy(k=3, kn=2), trace=trace
+        ).mediate(query)
+        assert [e.category for e in trace] == ["mediate", "knbest", "sqlb", "allocate"]
+        assert "|P_q|=3 -> |K|=3 -> |Kn|=2" in trace.by_category("knbest")[0].message
 
     def test_describe_lists_parameters(self):
         policy = make_policy(k=7, kn=3, omega=0.25)

@@ -111,7 +111,7 @@ def test_scenario_presets_default_latency(regime, omega):
 
     routes = columns.mediator.route_counts
     assert routes["columns"] > 0
-    assert routes["fused"] == routes["scalar"] == routes["traced"] == 0
+    assert routes["fused"] == routes["scalar"] == 0
     assert columns.mediator.scalar_reasons == {}
     assert routes["columns"] + columns.mediator.failures >= columns.mediator.mediations
 
@@ -174,7 +174,7 @@ def test_two_shard_federation_sums_the_shard_routes():
     assert len(shards) == 2
     assert mediator.route_counts == {
         route: sum(shard.route_counts[route] for shard in shards)
-        for route in ("fused", "columns", "scalar", "traced")
+        for route in ("fused", "columns", "scalar")
     }
     assert mediator.route_counts["columns"] > 0 and mediator.forwarded == 0
     assert mediator.scalar_reasons == {}

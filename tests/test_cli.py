@@ -55,6 +55,30 @@ class TestCommands:
         assert "knbest" in out
         assert "allocate" in out
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_trace_rejects_fewer_than_one_query(self, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", "--queries", value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: argument --queries: must be >= 1, got {value}" in captured.err
+        assert captured.out == ""
+
+    def test_trace_counts_a_failed_query(self, monkeypatch, capsys):
+        """A query ends at its ``fail`` line as well as at ``allocate``."""
+        import repro.experiments.runner as runner
+
+        def run_once(config, policy, trace):
+            trace.record(1.0, "mediate", "query 0 from c0: |P_q|=0", qid=0)
+            trace.record(1.0, "fail", "query 0: no capable provider")
+            trace.record(2.0, "mediate", "query 1 from c0: |P_q|=3", qid=1)
+            trace.record(2.0, "allocate", "query 1: -> ['p0']", qid=1)
+
+        monkeypatch.setattr(runner, "run_once", run_once)
+        assert main(["trace", "--queries", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and "  fail  " in lines[1]
+
 
 class TestSweepCommand:
     def test_kn_sweep(self, capsys):
