@@ -86,23 +86,18 @@ class EconomicPolicy(AllocationPolicy):
         if demand <= 0:  # service_time()'s guard, hoisted
             raise ValueError(f"demand must be positive, got {demand}")
         selfishness = self.selfishness
-        bids = {}
         rows = []
         append = rows.append
         for p in candidates:
             delay = max(0.0, p._busy_until - now) + demand / p.capacity
             markup = 1.0 + selfishness * (1.0 - p.preference_for(query)) / 2.0
-            bid = delay * markup
-            pid = p.participant_id
-            bids[pid] = bid
-            append((bid, pid, p))
+            append((delay * markup, p.participant_id, p))
         rows.sort()
         take = allocation_count(query, len(rows))
         return FastAllocationDecision(
             allocated=[row[2] for row in rows[:take]],
             informed=list(candidates),
             consult_messages=2 * len(candidates),
-            metadata={"bids": bids},
         )
 
     select = select_fast  # bench/tracer.py wraps this name on the class

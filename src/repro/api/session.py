@@ -280,7 +280,7 @@ class Session:
             execute in worker processes.
         shard_workers:
             Execute each run's federation shards across worker
-            processes (conservative-sync parallel execution; see
+            processes (slice-parallel execution; see
             :func:`repro.federation.parallel.run_parallel`).  Digests
             are bit-identical to single-process execution; runs fall
             back to serial when the config is ineligible.  Mutually

@@ -47,6 +47,22 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _positive_float(raw: str) -> float:
+    """argparse type: a number > 0 (argparse reports the error, exit 2)."""
+    value = float(raw)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {raw}")
+    return value
+
+
+def _nonnegative_int(raw: str) -> int:
+    """argparse type: an integer >= 0 (argparse reports the error, exit 2)."""
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sbqa",
@@ -72,10 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--seed", type=int, default=None, help="root random seed")
     run.add_argument(
-        "--duration", type=float, default=None, help="simulated seconds (default 2400)"
+        "--duration", type=_positive_float, default=None, help="simulated seconds (default 2400)"
     )
     run.add_argument(
-        "--providers", type=int, default=None, help="volunteer population size (default 120)"
+        "--providers", type=_positive_int, default=None, help="volunteer population size (default 120)"
     )
     run.add_argument(
         "--replications", type=int, default=None,
@@ -86,11 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="execute replications across worker processes",
     )
     run.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_positive_int, default=None,
         help="with --parallel: replication pool size (default: CPU "
         "count); without --parallel: run each run's federation shard "
-        "groups across this many worker processes (conservative-sync "
-        "parallel execution, digest-identical to single-process runs; "
+        "groups across this many worker processes (slice-parallel "
+        "execution, digest-identical to single-process runs; "
         "session runs)",
     )
     run.add_argument(
@@ -125,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="destination file (default: stdout)",
     )
     spec_cmd.add_argument("--seed", type=int, default=None)
-    spec_cmd.add_argument("--duration", type=float, default=None)
-    spec_cmd.add_argument("--providers", type=int, default=None)
+    spec_cmd.add_argument("--duration", type=_positive_float, default=None)
+    spec_cmd.add_argument("--providers", type=_positive_int, default=None)
     spec_cmd.add_argument("--replications", type=int, default=None)
     spec_cmd.add_argument(
         "--sweep", action="append", default=None, metavar="PATH=V1,V2,...",
@@ -170,12 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--seed", type=int, default=None, help="root random seed")
     sweep.add_argument(
-        "--duration", type=float, default=None,
+        "--duration", type=_positive_float, default=None,
         help="simulated seconds (quick-form default 1200; overrides the "
         "spec file's base)",
     )
     sweep.add_argument(
-        "--providers", type=int, default=None,
+        "--providers", type=_positive_int, default=None,
         help="volunteer population size (quick-form default 80; overrides "
         "the spec file's base)",
     )
@@ -194,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(no per-point barrier; results identical to serial)",
     )
     sweep.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_positive_int, default=None,
         help="worker process count (implies --parallel; default: CPU count)",
     )
     sweep.add_argument(
@@ -236,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="a declarative TuneSpec JSON file (see docs/tuning.md)",
     )
     tune.add_argument(
-        "--budget", type=int, default=None,
+        "--budget", type=_nonnegative_int, default=None,
         help="override the spec's total run budget (0 means unlimited)",
     )
     tune.add_argument(
@@ -253,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(results and elimination trace identical to serial)",
     )
     tune.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_positive_int, default=None,
         help="worker process count (implies --parallel; default: CPU count)",
     )
     tune.add_argument(
@@ -815,12 +831,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.workers is not None and args.workers < 1:
-        print(
-            f"error: --workers must be >= 1, got {args.workers}",
-            file=sys.stderr,
-        )
-        return 2
     try:
         if args.spec is not None:
             if args.k is not None:
@@ -918,7 +928,7 @@ def _tune_spec_from_file(args: argparse.Namespace):
     spec = TuneSpec.load(args.spec)
     changes = {}
     if args.budget is not None:
-        changes["budget"] = None if args.budget <= 0 else args.budget
+        changes["budget"] = args.budget or None
     if args.alpha is not None:
         changes["alpha"] = args.alpha
     if args.objective is not None:
@@ -933,12 +943,6 @@ def _run_tune(args: argparse.Namespace) -> int:
     """``sbqa tune``: race a grid through the adaptive tuner."""
     from repro.api.tune import TuneRungEvent, TuneSession, TuneStopEvent
 
-    if args.workers is not None and args.workers < 1:
-        print(
-            f"error: --workers must be >= 1, got {args.workers}",
-            file=sys.stderr,
-        )
-        return 2
     try:
         spec = _tune_spec_from_file(args)
     except OSError as err:

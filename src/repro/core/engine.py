@@ -12,14 +12,11 @@ the event-faithful core while cutting the per-mediation constant:
   (``Entity.FAST_HANDLERS``): same latency draws in the same order,
   same scheduling instants, same event ordering -- only the per-send
   allocations disappear.  Unknown kinds fall back to the envelope path.
-* :class:`FastMediator` reads ``P_q`` from the registry's cached
-  capability snapshot (handing SbQA that snapshot's
-  :class:`~repro.core.soa.ConsultColumns` to decide on, and committing
-  every policy's decision in their rows), computes the consultation
-  delay analytically
-  when the latency model is deterministic (every round-trip is ``2c``,
-  so the max over pairs is too), and -- when the one-way delay is a
-  positive constant -- collapses the ``len(allocated) + 1``
+* :class:`FastMediator` runs the one mediation pipeline of
+  :class:`~repro.core.mediator.Mediator` with the registry snapshot's
+  :class:`~repro.core.soa.ConsultColumns` turned on (SbQA decides on
+  them, every policy commits in their rows), and -- when the one-way
+  delay is a positive constant -- collapses the ``len(allocated) + 1``
   post-consultation delivery events of one allocation (which all share
   a clock instant) into a **single** scheduler event, scheduled at the
   same moments as the faithful chain so tie-breaking order is
@@ -42,13 +39,12 @@ keeps the reference implementation one flag away.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.core.mediator import Mediator
-from repro.core.policy import AllocationContext
-from repro.core.soa import ConsultColumns, LazyAllocationRecord, fused_policy_supported
+from repro.core.soa import fused_policy_supported
 from repro.des.network import Network
-from repro.system.query import AllocationRecord, QueryResult, QueryStatus
+from repro.system.query import AllocationRecord, QueryResult
 
 #: Engine mode names accepted by :func:`resolve_engine`.
 ENGINE_MODES = ("fast", "event")
@@ -57,11 +53,11 @@ ENGINE_MODES = ("fast", "event")
 DEFAULT_ENGINE = "fast"
 
 #: Private hook for the differential tests and ``repro.perf``: set to
-#: False before constructing a :class:`FastMediator` to run every
-#: mediation through the scalar reference (the object route of
-#: ``select_fast`` + :meth:`Mediator._commit`) and compare it with
-#: every column use -- the fused kernel, ``select_fast``'s column route
-#: and the rows commit, which it switches off together.  Not
+#: False before constructing a :class:`FastMediator` to leave its
+#: columns off, so every mediation takes the scalar reference (the
+#: object route of ``select_fast`` + :meth:`Mediator._commit`, as on
+#: the event engine) and compare it with every column use -- the fused
+#: route, ``select_fast``'s column route and the rows commit.  Not
 #: configuration -- no flag, config field or environment variable reads
 #: or sets it.
 _FUSED_KERNEL = True
@@ -298,205 +294,55 @@ class _CollapsedDispatch:
 
 
 class FastMediator(Mediator):
-    """The hot-path mediator: same pipeline, batched and collapsed.
+    """The hot-path mediator: :class:`~repro.core.mediator.Mediator`'s
+    pipeline with the snapshot's columns turned on, and a collapsed
+    dispatch.
 
-    Three deviations from the base class, none of them observable in
-    the results:
+    Two deviations from the base class, none of them observable in the
+    results:
 
-    * ``P_q`` is the registry's cached
+    * the registry's cached
       :meth:`~repro.system.registry.SystemRegistry.capable_snapshot`
-      tuple -- no per-mediation list build;
-    * when the latency model reports a :meth:`constant one-way delay
-      <repro.des.network.LatencyModel.constant_delay>`, the
-      consultation delay is ``2c`` analytically instead of a max over
-      ``|Kn| + 1`` identical round-trips;
-    * when that constant is positive, the
-      ``len(allocated) + 1`` same-instant deliveries of an allocation
-      are one :class:`_CollapsedDispatch` event (two events per
-      dispatch instead of ``len(allocated) + 2``), and the result
-      path is batched too: completions are grouped by finish instant
-      into :class:`_ResultDrain` chains instead of one
-      completion-closure + delivery pair per provider.  (At ``c == 0``
-      every event of a mediation shares one clock instant, where
-      relative event order *is* semantics, so the faithful
-      per-delivery structure is kept -- :class:`FastNetwork` still
-      strips the envelopes.)
-
-    With a *random* latency model the collapse is off -- delivery
-    delays must be drawn from the shared latency stream at dispatch
-    time, in dispatch order, or every later draw in the run would
-    shift -- but the *decision* is not: nothing in KnBest / Equation 2 /
-    Definition 3 reads the latency model, so ``select_fast`` is handed
-    the snapshot's columns and decides through the same
-    :meth:`~repro.core.soa.ConsultColumns.decide` the fused kernel
-    calls.  Three routes, counted in :attr:`route_counts`:
-
-    * **fused** -- SbQA, positive constant latency: ``decide`` + lazy
-      record + collapsed dispatch;
-    * **columns** -- SbQA, any other latency: ``select_fast`` (column
-      route), one event per delivery, consultation round-trips drawn in
-      order by :meth:`~repro.des.network.LatencyModel.worst_round_trip`;
-    * **scalar** -- ``select_fast`` on the provider objects (every
-      baseline; SbQA's object route), for the reason tallied in
-      ``scalar_reasons``.
-
-    The commit is policy-independent, counted in :attr:`commit_counts`:
-    **rows** -- :meth:`~repro.core.soa.ConsultColumns.commit`, for all
-    three routes; **objects** -- the reference :meth:`Mediator._commit`,
-    for what the columns cannot see: a user-defined intention model in
-    ``P_q``, a decision that brings its own intentions, an informed
-    provider outside the snapshot, the ``_FUSED_KERNEL`` hook.  (A
-    shard's forwarded mediations commit on objects too, counted in
-    ``forwarded`` only.)
+      gets :class:`~repro.core.soa.ConsultColumns` per ``(consumer,
+      topic)`` -- this mediator's, so per shard in a federation -- for
+      every policy, whatever the latency model.  Every policy *commits*
+      on them; exactly SbQA with a built-in omega also *decides* on them
+      (``select_fast``'s column route, or the fused route when the
+      one-way delay is a positive constant).  Nothing in KnBest /
+      Equation 2 / Definition 3 reads the latency model, so only the
+      dispatch depends on it;
+    * when that constant is positive, the ``len(allocated) + 1``
+      same-instant deliveries of an allocation are one
+      :class:`_CollapsedDispatch` event (two events per dispatch
+      instead of ``len(allocated) + 2``), and the result path is
+      batched too: completions are grouped by finish instant into
+      :class:`_ResultDrain` chains instead of one completion-closure +
+      delivery pair per provider.  (At ``c == 0`` every event of a
+      mediation shares one clock instant, where relative event order
+      *is* semantics, and with a *random* latency model delivery
+      delays must be drawn from the shared stream at dispatch time, in
+      dispatch order; both keep the faithful per-delivery structure --
+      :class:`FastNetwork` still strips the envelopes.)
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._constant_one_way = self.network.latency.constant_delay()
-        self._fast_select = self.policy.select_fast
-        # One reusable context for the hot loop (consumed synchronously
-        # by exactly one select_fast per mediation; .now and .columns
-        # change).
-        self._ctx = AllocationContext(now=0.0)
-        # Structure-of-arrays state (see repro.core.soa): columns are
-        # cached per (consumer, topic) -- this mediator's, so per shard
-        # in a federation -- for every policy, whatever the latency
-        # model, and every policy *commits* on them.  Model support is
-        # decided when they are built; unsupported mixes fall back per
-        # query.  Only exactly SbQAPolicy with a built-in omega also
-        # *decides* on them; the latency model only decides how that
-        # decision is sent out (the fused kernel's collapsed dispatch
-        # needs a positive constant one-way delay).
-        self._column_cache: Optional[dict] = {} if _FUSED_KERNEL else None
-        self._decides_on_columns = _FUSED_KERNEL and fused_policy_supported(self.policy)
+        # Model support is decided when the columns are built;
+        # unsupported mixes take the scalar route per query.
         if not _FUSED_KERNEL:
             self._scalar_reason = "kernel hook off"
-        elif self._decides_on_columns:
+            return
+        self._column_cache = {}
+        self._decides_on_columns = fused_policy_supported(self.policy)
+        if self._decides_on_columns:
             self._scalar_reason = "unsupported intention models"
+            c = self._constant_one_way
+            self._fused = c is not None and c > 0.0
         else:
             self._scalar_reason = "policy not column-encodable"
-        c = self._constant_one_way
-        self._fused = self._decides_on_columns and c is not None and c > 0.0
-        #: Mediations by route -- execution metadata like ``engine``,
-        #: never part of a result dict or digest.  Mediations that
-        #: found ``P_q`` empty, and a shard's forwarded ones (counted in
-        #: ``forwarded``), took none of these routes.
-        self.route_counts = {"fused": 0, "columns": 0, "scalar": 0}
-        #: Mediations by commit stage; execution metadata likewise.
-        self.commit_counts = {"rows": 0, "objects": 0}
 
-    @property
-    def scalar_reasons(self) -> dict:
-        """Why the scalar-route mediations were scalar: reason -> count.
-
-        Derived: one mediator has exactly one possible reason (fixed at
-        construction for the hook and for policies that decide on
-        objects, the per-query model check for SbQA).
-        """
-        scalar = self.route_counts["scalar"]
-        return {self._scalar_reason: scalar} if scalar else {}
-
-    def mediate(self, query) -> AllocationRecord:
-        self.mediations += 1
-        meta = self.registry.snapshot_meta(query.topic)
-        candidates = meta.snapshot
-        if not candidates:
-            return self._fail(query)
-        cols = self._columns_for(query, meta)
-        if cols is not None and self._fused:
-            return self._mediate_fused(query, cols)
-        return self._select_and_commit(query, candidates, cols)
-
-    def _columns_for(self, query, meta) -> Optional[ConsultColumns]:
-        """Refreshed columns of ``(consumer, topic)``, or None.
-
-        Cached against the snapshot's identity: a membership/online
-        transition hands out a new tuple, and the columns are rebuilt.
-        None means the model mix is outside the column encoding (custom
-        intention models): the query is decided and committed on objects.
-        """
-        cache = self._column_cache
-        if cache is None:
-            return None  # the _FUSED_KERNEL hook is off
-        consumer = query.consumer
-        topic = query.topic
-        snapshot = meta.snapshot
-        key = (consumer.participant_id, topic)
-        cols = cache.get(key)
-        if cols is None or cols.snapshot is not snapshot:
-            if cols is not None:
-                cols.detach()
-            cols = ConsultColumns.build(snapshot, meta, consumer, topic)
-            cache[key] = cols
-        if not cols.supported:
-            return None
-        if cols.dirty:
-            cols.refresh()
-        return cols
-
-    def _select_and_commit(self, query, candidates, cols) -> AllocationRecord:
-        """``select_fast``, then the rows commit when ``cols`` can take it."""
-        on_columns = cols is not None and self._decides_on_columns
-        self.route_counts["columns" if on_columns else "scalar"] += 1
-        ctx = self._ctx
-        ctx.now = now = self.sim._now
-        ctx.columns = cols if on_columns else None
-        decision = self._fast_select(query, candidates, ctx)
-        # Columns describe *this* snapshot only; never leave them on
-        # the reused context.
-        ctx.columns = None
-        if not decision.allocated:
-            return self._fail(query)
-        record = None if cols is None else cols.record_for(query, now, decision)
-        if record is not None:
-            return self._commit_rows(cols, record, decision.consult_messages)
-        self.commit_counts["objects"] += 1
-        return self._commit(query, candidates, decision)
-
-    def _mediate_fused(self, query, cols: ConsultColumns) -> AllocationRecord:
-        """One mediation through the fused SoA kernel: the decision and
-        the commit are the shared :class:`~repro.core.soa.ConsultColumns`
-        stages; fused *here* are the missing ``select_fast`` call, the
-        analytic ``2c`` consultation delay and the collapsed dispatch.
-        """
-        self.route_counts["fused"] += 1
-        now = self.sim._now
-        consulted, ranked = cols.decide(self.policy, query, now)
-        record = LazyAllocationRecord(query, now, cols, consulted, ranked)
-        return self._commit_rows(cols, record, 2 * len(consulted) + 2)
-
-    def _commit_rows(self, cols: ConsultColumns, record, consult_messages: int):
-        """:meth:`Mediator._commit` for a record in ``cols``' rows (never a
-        forwarded mediation, so the consultation is the plain one)."""
-        self.commit_counts["rows"] += 1
-        query = record.query
-        consumer = query.consumer
-        slots = record.slots
-        record.adequation = cols.commit(
-            slots, record.pis, record.performed, query.n_results, self.adequation_over_candidates
-        )[1]
-        consult_delay = 0.0
-        if self.policy.consults_participants:
-            c = self._constant_one_way
-            if c is not None:
-                consult_delay = c + c
-            else:
-                consult_delay = self._consultation_delay(consumer, record.informed)
-            record.consultation_delay = consult_delay
-            self.coordination_messages += consult_messages
-        self.coordination_messages += len(slots)
-        query.status = QueryStatus.ALLOCATED
-        self._dispatch_record(record, consumer, consult_delay)
-        self._store(record)
-        return record
-
-    def _consultation_delay(self, consumer, informed) -> float:
-        c = self._constant_one_way
-        if c is not None:
-            # Every request/reply round-trip is exactly c + c, so the
-            # max over the consumer pair and all informed pairs is too.
-            return c + c
-        return super()._consultation_delay(consumer, informed)
+    # bench/tracer.py counts fused mediations on this name of this class.
+    mediate = Mediator.mediate
 
     def _dispatch_record(
         self, record: AllocationRecord, consumer, consult_delay: float

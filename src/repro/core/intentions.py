@@ -16,6 +16,13 @@ a blended model with a tunable trade-off, and a performance-only model
 (the Scenario 5 configuration where "projects are interested only in
 response times and volunteers in their load").
 
+A model answers for one participant pair at a time: the object route
+of SbQA asks each consulted participant through its own model, exactly
+as Figure 1 draws the consultation.  The fast engine's
+:class:`~repro.core.soa.ConsultColumns` replicate the built-in models'
+arithmetic in snapshot ordinals, and the oracle tests hold the two
+float for float.
+
 # reconstruction: the exact blending formulas are not in the demo
 # paper; these linear blends honour every stated constraint (range,
 # monotonicity in preference, monotonicity in load/performance) and the
@@ -24,7 +31,7 @@ response times and volunteers in their load").
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.system.consumer import Consumer
@@ -54,23 +61,6 @@ class ConsumerIntentionModel:
     def intention(self, consumer: "Consumer", query: "Query", provider: "Provider") -> float:
         raise NotImplementedError
 
-    def intentions(
-        self,
-        consumer: "Consumer",
-        query: "Query",
-        providers: "Sequence[Provider]",
-    ) -> List[float]:
-        """``CI_q[p]`` for a whole candidate set.
-
-        The batch form the mediation hot path consults; equivalent to
-        calling :meth:`intention` per provider (the default does exactly
-        that), with built-in models overriding it to hoist the blend
-        weights and dict lookups out of the loop.  Overrides must keep
-        the per-provider arithmetic identical -- values are asserted
-        bit-equal to the scalar form by the parity tests.
-        """
-        return [self.intention(consumer, query, provider) for provider in providers]
-
 
 class PreferenceIntentions(ConsumerIntentionModel):
     """Context-independent intentions: the consumer's static preference."""
@@ -79,21 +69,6 @@ class PreferenceIntentions(ConsumerIntentionModel):
 
     def intention(self, consumer: "Consumer", query: "Query", provider: "Provider") -> float:
         return clamp_intention(consumer.preference_for(provider.participant_id))
-
-    def intentions(
-        self,
-        consumer: "Consumer",
-        query: "Query",
-        providers: "Sequence[Provider]",
-    ) -> List[float]:
-        preferences = consumer.preferences
-        default_preference = consumer.default_preference
-        return [
-            clamp_intention(
-                preferences.get(provider.participant_id, default_preference)
-            )
-            for provider in providers
-        ]
 
     def __repr__(self) -> str:
         return "PreferenceIntentions()"
@@ -124,34 +99,6 @@ class ReputationBlendIntentions(ConsumerIntentionModel):
         blended = (1.0 - self.alpha) * preference + self.alpha * (2.0 * reputation - 1.0)
         return clamp_intention(blended)
 
-    def intentions(
-        self,
-        consumer: "Consumer",
-        query: "Query",
-        providers: "Sequence[Provider]",
-    ) -> List[float]:
-        # Same formula as intention() with the weights resolved once and
-        # preference_for / reputation_of unrolled to their dict lookups.
-        alpha = self.alpha
-        preference_weight = 1.0 - alpha
-        preferences = consumer.preferences
-        default_preference = consumer.default_preference
-        rt_ewma = consumer._rt_ewma
-        rt_reference = consumer.rt_reference
-        out = []
-        for provider in providers:
-            pid = provider.participant_id
-            preference = preferences.get(pid, default_preference)
-            ewma = rt_ewma.get(pid)
-            reputation = 0.5 if ewma is None else rt_reference / (rt_reference + ewma)
-            blended = preference_weight * preference + alpha * (2.0 * reputation - 1.0)
-            if blended > 1.0:
-                blended = 1.0
-            elif blended < -1.0:
-                blended = -1.0
-            out.append(blended)
-        return out
-
     def __repr__(self) -> str:
         return f"ReputationBlendIntentions(alpha={self.alpha})"
 
@@ -181,24 +128,6 @@ class ProviderIntentionModel:
     def intention(self, provider: "Provider", query: "Query") -> float:
         raise NotImplementedError
 
-    def intentions(
-        self,
-        providers: "Sequence[Provider]",
-        query: "Query",
-        utilizations: "Optional[Sequence[float]]" = None,
-    ) -> List[float]:
-        """``PI_q[p]`` for several providers sharing this model.
-
-        Batch form for the mediation hot path (only used when every
-        provider in the set carries this very model instance).  The
-        default delegates per provider; overrides must keep the
-        arithmetic identical to :meth:`intention`.  ``utilizations``,
-        when given, holds each provider's ``utilization`` read at the
-        current instant (KnBest stage 2 just computed them) so
-        load-aware models can reuse the values.
-        """
-        return [self.intention(provider, query) for provider in providers]
-
 
 class ProviderPreferenceIntentions(ProviderIntentionModel):
     """Context-independent intentions: the provider's static preference
@@ -208,17 +137,6 @@ class ProviderPreferenceIntentions(ProviderIntentionModel):
 
     def intention(self, provider: "Provider", query: "Query") -> float:
         return clamp_intention(provider.preference_for(query))
-
-    def intentions(
-        self,
-        providers: "Sequence[Provider]",
-        query: "Query",
-        utilizations: "Optional[Sequence[float]]" = None,
-    ) -> List[float]:
-        return [
-            clamp_intention(provider.preference_for(query))
-            for provider in providers
-        ]
 
     def __repr__(self) -> str:
         return "ProviderPreferenceIntentions()"
@@ -249,30 +167,6 @@ class PreferenceUtilizationIntentions(ProviderIntentionModel):
         load_term = 1.0 - 2.0 * provider.utilization
         blended = (1.0 - self.beta) * preference + self.beta * load_term
         return clamp_intention(blended)
-
-    def intentions(
-        self,
-        providers: "Sequence[Provider]",
-        query: "Query",
-        utilizations: "Optional[Sequence[float]]" = None,
-    ) -> List[float]:
-        # Same formula as intention() with the blend weight hoisted and
-        # the (time-identical) utilizations reused when supplied.
-        beta = self.beta
-        preference_weight = 1.0 - beta
-        if utilizations is None:
-            utilizations = [provider.utilization for provider in providers]
-        out = []
-        for provider, utilization in zip(providers, utilizations):
-            preference = provider.preference_for(query)
-            load_term = 1.0 - 2.0 * utilization
-            blended = preference_weight * preference + beta * load_term
-            if blended > 1.0:
-                blended = 1.0
-            elif blended < -1.0:
-                blended = -1.0
-            out.append(blended)
-        return out
 
     def __repr__(self) -> str:
         return f"PreferenceUtilizationIntentions(beta={self.beta})"

@@ -109,9 +109,7 @@ class KnBestSelector:
         :meth:`select`, returning ``(|K|, Kn, utilizations-of-Kn)``
         directly.  Decorate-sort replaces the per-element key lambda
         (tuples compare in C; ``participant_id`` is unique, so the
-        provider in slot 3 never participates in a comparison), and the
-        stage-2 utilizations are handed back so intention models reading
-        load at this same instant reuse them instead of recomputing.
+        provider in slot 3 never participates in a comparison).
         """
         sampled: List[P] = self._stream.sample(candidates, self.k)
         decorated = [(p.utilization, p.participant_id, p) for p in sampled]

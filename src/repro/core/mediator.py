@@ -19,6 +19,14 @@ consumer and to every consulted provider before the allocation can be
 dispatched (the round-trips run in parallel, so the delay is the
 maximum over the exchanged pairs), which is exactly why KnBest bounds
 the consulted set to ``kn`` providers.
+
+This is the one mediation pipeline of both engines.  An engine picks
+two things only: whether the snapshot's
+:class:`~repro.core.soa.ConsultColumns` exist (the fast engine's
+:class:`~repro.core.engine.FastMediator` turns them on; without them
+every query takes the scalar route and the objects commit), and how an
+allocation is sent (:meth:`Mediator._dispatch_record`: one faithful
+event per message here, collapsed on the fast engine).
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 from repro.core.policy import AllocationContext, AllocationDecision, AllocationPolicy
 from repro.core.satisfaction import adequation as compute_adequation
 from repro.core.satisfaction import consumer_query_satisfaction
+from repro.core.soa import ConsultColumns, LazyAllocationRecord
 from repro.des.entity import Entity
 from repro.des.network import Message, Network
 from repro.des.scheduler import Simulator
@@ -48,6 +57,27 @@ class MediationObserver:
 
 class Mediator(Entity):
     """Allocates queries using a pluggable policy.
+
+    Three routes decide, counted in :attr:`route_counts`:
+
+    * **fused** -- SbQA at a positive constant latency, with columns:
+      :meth:`~repro.core.soa.ConsultColumns.decide` + lazy record +
+      the engine's collapsed dispatch;
+    * **columns** -- SbQA with columns at any other latency:
+      ``select_fast``'s column route, one event per delivery;
+    * **scalar** -- ``select_fast`` on the provider objects (every
+      baseline; SbQA's object route), for the one reason this
+      mediator tallies in :attr:`scalar_reasons`.
+
+    Two commits, counted in :attr:`commit_counts`: **rows** --
+    :meth:`~repro.core.soa.ConsultColumns.commit`, for any route's
+    decision the columns can express; **objects** -- :meth:`_commit`,
+    for the rest (no columns, a user-defined intention model in
+    ``P_q``, a decision that brings its own intentions, an informed
+    provider outside the snapshot).  A shard's forwarded mediations
+    commit on objects too, counted in ``forwarded`` only.  All three
+    tallies are execution metadata like ``engine``, never part of a
+    result dict or digest.
 
     Parameters
     ----------
@@ -100,6 +130,30 @@ class Mediator(Entity):
         self.mediations = 0
         self.failures = 0
         self.coordination_messages = 0
+        self._constant_one_way = network.latency.constant_delay()
+        self._fast_select = policy.select_fast
+        # One reusable context (consumed synchronously by exactly one
+        # select_fast per mediation; .now and .columns change).
+        self._ctx = AllocationContext(now=0.0)
+        # No snapshot columns: every query takes the scalar route and
+        # the objects commit.  FastMediator turns them on.
+        self._column_cache: Optional[dict] = None
+        self._decides_on_columns = False
+        self._fused = False
+        self._scalar_reason = "event engine"
+        self.route_counts = {"fused": 0, "columns": 0, "scalar": 0}
+        self.commit_counts = {"rows": 0, "objects": 0}
+
+    @property
+    def scalar_reasons(self) -> dict:
+        """Why the scalar-route mediations were scalar: reason -> count.
+
+        One mediator has exactly one possible reason: no columns (the
+        event engine, the hook), a policy that decides on objects, or
+        for SbQA the per-query intention-model check.
+        """
+        scalar = self.route_counts["scalar"]
+        return {self._scalar_reason: scalar} if scalar else {}
 
     # ------------------------------------------------------------------
     # Entity hook
@@ -120,17 +174,71 @@ class Mediator(Entity):
     def mediate(self, query: Query) -> AllocationRecord:
         """Run the full pipeline for one query; returns its record."""
         self.mediations += 1
-        # The registry's cached P_q snapshot (shared with the fast
-        # engine): O(|P_q|) on rebuild, one dict probe between
-        # membership/online transitions.  Read-only downstream.
+        # The registry's cached P_q snapshot: O(|P_q|) on rebuild, one
+        # dict probe between membership/online transitions.
         candidates = self.registry.capable_snapshot(query.topic)
         if not candidates:
             return self._fail(query)
+        cols = self._columns_for(query, candidates)
+        if cols is not None and self._fused:
+            return self._mediate_fused(query, cols)
+        return self._select_and_commit(query, candidates, cols)
 
-        decision = self.policy.select_fast(query, candidates, AllocationContext(now=self.now))
-        if decision.is_failure:
+    def _columns_for(self, query: Query, snapshot) -> Optional[ConsultColumns]:
+        """Refreshed columns of ``(consumer, topic)``, or None.
+
+        None without a column cache, and when the model mix is outside
+        the column encoding (custom intention models).  Cached against
+        the snapshot's identity: a membership/online transition hands
+        out a new tuple, and the columns are rebuilt.
+        """
+        cache = self._column_cache
+        if cache is None:
+            return None
+        consumer = query.consumer
+        topic = query.topic
+        key = (consumer.participant_id, topic)
+        cols = cache.get(key)
+        if cols is None or cols.snapshot is not snapshot:
+            if cols is not None:
+                cols.detach()
+            meta = self.registry.snapshot_meta(topic)
+            cols = ConsultColumns.build(snapshot, meta, consumer, topic)
+            cache[key] = cols
+        if not cols.supported:
+            return None
+        if cols.dirty:
+            cols.refresh()
+        return cols
+
+    def _select_and_commit(self, query: Query, candidates, cols) -> AllocationRecord:
+        """``select_fast``, then the rows commit when ``cols`` can take it."""
+        on_columns = cols is not None and self._decides_on_columns
+        self.route_counts["columns" if on_columns else "scalar"] += 1
+        ctx = self._ctx
+        ctx.now = now = self.sim._now
+        ctx.columns = cols if on_columns else None
+        decision = self._fast_select(query, candidates, ctx)
+        # Columns describe *this* snapshot only; never leave them on
+        # the reused context.
+        ctx.columns = None
+        if not decision.allocated:
             return self._fail(query)
+        record = None if cols is None else cols.record_for(query, now, decision)
+        if record is not None:
+            return self._commit_rows(cols, record, decision.consult_messages)
+        self.commit_counts["objects"] += 1
         return self._commit(query, candidates, decision)
+
+    def _mediate_fused(self, query: Query, cols: ConsultColumns) -> AllocationRecord:
+        """SbQA without ``select_fast``: the decision and the commit are
+        the shared :class:`~repro.core.soa.ConsultColumns` stages, and
+        the record is lazy (the only route that returns one)."""
+        self.route_counts["fused"] += 1
+        now = self.sim._now
+        consulted, ranked = cols.decide(self.policy, query, now)
+        record = LazyAllocationRecord(query, now, cols, consulted, ranked)
+        return self._commit_rows(cols, record, 2 * len(consulted) + 2)
 
     def _fail(self, query: Query) -> AllocationRecord:
         """No provider could perform the query: zero satisfaction, notify."""
@@ -150,6 +258,7 @@ class Mediator(Entity):
         candidates: Sequence["Provider"],
         decision: AllocationDecision,
     ) -> AllocationRecord:
+        """The objects commit: satisfaction bookkeeping on the providers."""
         consumer = query.consumer
         allocated_ids = {p.participant_id for p in decision.allocated}
 
@@ -184,14 +293,6 @@ class Mediator(Entity):
         adequation_value = compute_adequation(pool_intentions, query.n_results)
         consumer.record_query_satisfaction(satisfaction, adequation=adequation_value)
 
-        # -- consultation cost -------------------------------------------
-        consult_delay = 0.0
-        if self.policy.consults_participants:
-            consult_delay = self._consultation_delay(consumer, decision.informed)
-            self.coordination_messages += decision.consult_messages
-        # outcome notification to every informed provider
-        self.coordination_messages += len(decision.informed)
-
         # A record that is not kept drops these at _store: no copies.
         keep = self.keep_records
         record = AllocationRecord(
@@ -204,12 +305,49 @@ class Mediator(Entity):
             scores=dict(decision.scores) if keep else decision.scores,
             omegas=dict(decision.omegas) if keep else decision.omegas,
             adequation=adequation_value,
-            consultation_delay=consult_delay,
         )
+        return self._send(record, len(decision.informed), decision.consult_messages)
+
+    def _commit_rows(self, cols: ConsultColumns, record, consult_messages: int):
+        """The rows commit: :meth:`_commit`'s bookkeeping for a record in
+        ``cols``' rows (see :meth:`~repro.core.soa.ConsultColumns.commit`)."""
+        self.commit_counts["rows"] += 1
+        slots = record.slots  # a list built per read on decided records
+        record.adequation = cols.commit(
+            slots,
+            record.pis,
+            record.performed,
+            record.query.n_results,
+            self.adequation_over_candidates,
+        )[1]
+        return self._send(record, len(slots), consult_messages)
+
+    def _send(self, record: AllocationRecord, n_informed: int, consult_messages: int):
+        """The tail of both commits: the consultation cost, one outcome
+        notice per informed provider, ``ALLOCATED``, dispatch, store."""
+        query = record.query
+        consumer = query.consumer
+        consult_delay = 0.0
+        if self.policy.consults_participants:
+            consult_delay = self._consultation_delay(consumer, record)
+            record.consultation_delay = consult_delay
+            self.coordination_messages += consult_messages
+        self.coordination_messages += n_informed
         query.status = QueryStatus.ALLOCATED
         self._dispatch_record(record, consumer, consult_delay)
         self._store(record)
         return record
+
+    def _consultation_delay(self, consumer, record: AllocationRecord) -> float:
+        """Parallel request/reply round-trips: the slowest pair gates.
+
+        Under a constant one-way delay ``c`` every round-trip is
+        exactly ``c + c``, and so is their max.
+        """
+        c = self._constant_one_way
+        if c is not None:
+            return c + c
+        return self.network.latency.worst_round_trip(self, consumer, record.informed)
 
     def _dispatch_record(
         self, record: AllocationRecord, consumer, consult_delay: float
@@ -240,10 +378,6 @@ class Mediator(Entity):
             self.network.send("mediation-ok", self, consumer, payload=record)
 
         return dispatch
-
-    def _consultation_delay(self, consumer, informed: Sequence["Provider"]) -> float:
-        """Parallel request/reply round-trips: the slowest pair gates."""
-        return self.network.latency.worst_round_trip(self, consumer, informed)
 
     def _store(self, record: AllocationRecord) -> None:
         """Every record of every engine and commit route ends here: trace

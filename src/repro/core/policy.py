@@ -50,7 +50,6 @@ class AllocationDecision:
     scores: Dict[str, float] = field(default_factory=dict)
     omegas: Dict[str, float] = field(default_factory=dict)
     consult_messages: int = 0
-    metadata: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.informed:
@@ -85,7 +84,6 @@ class FastAllocationDecision:
         "scores",
         "omegas",
         "consult_messages",
-        "metadata",
     )
 
     def __init__(
@@ -97,7 +95,6 @@ class FastAllocationDecision:
         scores=None,
         omegas=None,
         consult_messages=0,
-        metadata=None,
     ) -> None:
         # informed defaults to the allocated list *itself* (not a copy,
         # unlike AllocationDecision.__post_init__): a fast decision is
@@ -116,7 +113,6 @@ class FastAllocationDecision:
         self.scores = {} if scores is None else scores
         self.omegas = {} if omegas is None else omegas
         self.consult_messages = consult_messages
-        self.metadata = {} if metadata is None else metadata
 
     @property
     def is_failure(self) -> bool:

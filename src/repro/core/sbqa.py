@@ -98,8 +98,7 @@ class SbQAPolicy(AllocationPolicy):
         self.config = config or SbQAConfig()
         self.selector = KnBestSelector(self.config.k, self.config.kn, stream)
         self.omega_policy: OmegaPolicy = make_omega_policy(self.config.omega)
-        # Resolved once so the hot path dispatches on plain attributes
-        # instead of per-query isinstance checks.
+        # What the columns encode (see repro.core.soa): resolved once.
         self._omega_adaptive = isinstance(self.omega_policy, AdaptiveOmega)
         self._omega_fixed = (
             self.omega_policy.value
@@ -116,9 +115,11 @@ class SbQAPolicy(AllocationPolicy):
         """The SbQA decision: KnBest sample, intention consultation,
         per-pair omega, Definition-3 scores, rank, take ``min(n, kn)``.
 
-        The whole ``Kn`` set is scored through
-        :func:`~repro.core.scoring.score_providers_batch` (inputs
-        validated once) and a fixed omega is resolved outside the loop;
+        The object route below is Figure 1 as the paper states it:
+        each participant is asked for its intention through its own
+        model, omega comes from the configured
+        :class:`~repro.core.omega.OmegaPolicy`, and the whole ``Kn`` set
+        is scored through :func:`~repro.core.scoring.score_providers_batch`;
         every float equals what :func:`~repro.core.scoring.sqlb_score`
         and :func:`~repro.core.scoring.rank_providers` give provider by
         provider (the tests hold it to that reference).
@@ -128,53 +129,26 @@ class SbQAPolicy(AllocationPolicy):
         :meth:`~repro.core.soa.ConsultColumns.decision` -- the same
         arithmetic in snapshot ordinals, shared with the fused kernel,
         its maps built only if someone reads them.  The object route
-        below serves the event engine, model mixes the columns cannot
-        encode, and is the differential oracle the columns are tested
-        against.
+        serves the event engine, the ``_FUSED_KERNEL`` hook, model mixes
+        the columns cannot encode and a shard's forwarded mediations,
+        and is the differential oracle the columns are tested against.
         """
         cols = ctx.columns
         if cols is not None:
             return cols.decision(self, query, ctx.now)
 
+        # 1-2. KnBest: k sampled at random, the kn least utilized kept.
+        _, working, _ = self.selector.sample_working(candidates)
+        pids = [p.participant_id for p in working]
+        # 3. SQLB consultation: PI_q[p] and CI_q[p] for every p of Kn.
         consumer = query.consumer
-        k_effective, working, loads = self.selector.sample_working(candidates)
-        pids = [provider.participant_id for provider in working]
-
-        # -- intention consultation (batched when the set shares one
-        #    model instance, which the population builder guarantees) --
-        shared_model = working[0].intention_model
-        for provider in working:
-            if provider.intention_model is not shared_model:
-                shared_model = None
-                break
-        if shared_model is not None:
-            provider_intention_list = shared_model.intentions(
-                working, query, utilizations=loads
-            )
-        else:
-            provider_intention_list = [p.intention_for(query) for p in working]
-        consumer_intention_list = consumer.intention_model.intentions(
-            consumer, query, working
-        )
-
-        # -- Equation 2, one omega per (c, p) pair -----------------------
-        if self._omega_adaptive:
-            # Inlined adaptive_omega; trackers guarantee inputs in [0, 1].
-            consumer_satisfaction = consumer.satisfaction
-            omega_list = [
-                ((consumer_satisfaction - p.tracker.satisfaction()) + 1.0) / 2.0
-                for p in working
-            ]
-        elif self._omega_fixed is not None:
-            omega_list = [self._omega_fixed] * len(working)
-        else:
-            consumer_satisfaction = consumer.satisfaction
-            omega_policy = self.omega_policy
-            omega_list = [
-                omega_policy.omega(consumer_satisfaction, p.satisfaction)
-                for p in working
-            ]
-
+        provider_intention_list = [p.intention_for(query) for p in working]
+        consumer_intention_list = [consumer.intention_for(query, p) for p in working]
+        # 4. Equation 2, one omega per (c, p) pair; Definition 3; rank
+        #    by (-score, provider_id) as rank_providers does.
+        consumer_satisfaction = consumer.satisfaction
+        omega = self.omega_policy.omega
+        omega_list = [omega(consumer_satisfaction, p.satisfaction) for p in working]
         scores = score_providers_batch(
             provider_intention_list,
             consumer_intention_list,
@@ -182,9 +156,8 @@ class SbQAPolicy(AllocationPolicy):
             self.config.epsilon,
             validate=False,
         )
-
-        # rank_providers orders by (-score, provider_id); same key here.
         ranking = sorted(zip(scores, pids), key=_rank_key)
+        # 5. Allocate the min(n, kn) best; all of Kn are informed.
         take = allocation_count(query, len(working))
         by_id = dict(zip(pids, working))
         allocated = [by_id[pid] for _, pid in ranking[:take]]
@@ -197,7 +170,6 @@ class SbQAPolicy(AllocationPolicy):
             scores={pid: score for score, pid in ranking},
             omegas=dict(zip(pids, omega_list)),
             consult_messages=2 * len(working) + 2,
-            metadata={"k_effective": k_effective},
         )
 
     select = select_fast  # bench/tracer.py wraps this name on the class

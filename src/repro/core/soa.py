@@ -247,10 +247,10 @@ class ConsultColumns:
         """CI_q[p] for one provider, matching the model's arithmetic.
 
         Dynamic form: the exact expression of
-        :meth:`ReputationBlendIntentions.intentions` with the weights
+        :meth:`ReputationBlendIntentions.intention` with the weights
         and reference resolved at construction.  Static form:
         ``clamp_intention`` of the raw preference, as
-        :meth:`PreferenceIntentions.intentions` computes it.
+        :meth:`PreferenceIntentions.intention` computes it.
         """
         consumer = self.consumer
         preference = consumer.preferences.get(pid, consumer.default_preference)
@@ -293,8 +293,8 @@ class ConsultColumns:
         order (least utilized first -- the order intentions were asked
         in, and the key order of a decision's maps), ``ranked`` best
         first.  Nothing here reads the latency model, so both
-        fast-engine routes call it -- the fused kernel
-        (:meth:`FastMediator._mediate_fused`) and the column route of
+        fast-engine routes call it -- the fused route
+        (:meth:`Mediator._mediate_fused`) and the column route of
         :meth:`SbQAPolicy.select_fast` -- and every float is produced
         by the same expression shapes in the same order as the object
         route of ``select_fast`` (asserted by ``tests/oracle/``).
@@ -387,7 +387,6 @@ class ConsultColumns:
         consulted, ranked = self.decide(policy, query, now)
         decision = DecidedAllocationRecord(query, now, self, consulted, ranked)
         decision.consult_messages = 2 * len(consulted) + 2
-        decision.metadata = {"k_effective": min(policy.selector.k, len(self.snapshot))}
         return decision
 
     def record_for(self, query, now: float, decision):
@@ -644,7 +643,6 @@ class DecidedAllocationRecord(RowsAllocationRecord):
         "_consulted",
         "_ranked",
         "consult_messages",
-        "metadata",
     )
 
     def __init__(self, query, decided_at: float, cols: ConsultColumns, consulted, ranked):

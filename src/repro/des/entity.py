@@ -108,21 +108,6 @@ class RecordingEntity(Entity):
         return [m.payload for m in self.inbox]
 
 
-def reset_entity_counter() -> None:
-    """Reset the global entity-id counter (test isolation only)."""
-    global _entity_counter
-    _entity_counter = itertools.count()
-
-
-def peek_entity_counter() -> int:
-    """Next id that would be assigned; exposed for determinism tests."""
-    global _entity_counter
-    value = next(_entity_counter)
-    # Re-prime the counter so the peek is non-destructive.
-    _entity_counter = itertools.chain([value], _entity_counter)  # type: ignore[assignment]
-    return value
-
-
 def format_entity(entity: Entity) -> str:
     """Stable display string ``name#id`` used in traces."""
     return f"{entity.name}#{entity.entity_id}"

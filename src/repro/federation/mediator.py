@@ -27,9 +27,9 @@ Invariants
    pair each, counted in ``coordination_messages``); for consulting
    policies the hop extends the consultation delay by the worst peer
    round-trip (``2c`` under a constant latency model -- the same
-   analytic collapse the fast engine uses, so the hot path stays
-   fused).  Non-consulting policies pay the messages but no delay,
-   mirroring how the base mediator charges consultation.
+   analytic collapse the mediator uses for the consultation itself).
+   Non-consulting policies pay the messages but no delay, mirroring
+   how the base mediator charges consultation.
 4. **The global mediation order is preserved.**  All shard mediators
    append to one shared ``records`` list and report to one observer,
    so downstream analysis sees the same stream a single mediator would
@@ -124,8 +124,8 @@ class _ShardForwarding:
         # One candidate request/reply pair per contributing peer shard.
         self.coordination_messages += 2 * len(peers)
         decision = self.policy.select_fast(query, merged, AllocationContext(now=self.now))
-        # _consultation_delay (called from _commit for consulting
-        # policies) adds the forward hop to the peers; the trace shows
+        # _consultation_delay (called from the commit's _send for
+        # consulting policies) adds the forward hop to the peers; the trace shows
         # the merged pool.
         self._forwarding = (merged, peers)
         try:
@@ -135,8 +135,8 @@ class _ShardForwarding:
         finally:
             self._forwarding = None
 
-    def _consultation_delay(self, consumer, informed) -> float:
-        delay = super()._consultation_delay(consumer, informed)
+    def _consultation_delay(self, consumer, record) -> float:
+        delay = super()._consultation_delay(consumer, record)
         if self._forwarding is not None:
             delay += self._forward_hop(self._forwarding[1])
         return delay
@@ -155,10 +155,10 @@ class _ShardForwarding:
         ordinal order -- ``peers`` is ascending by construction -- so
         the stream consumption is deterministic.
         """
-        latency = self.network.latency
-        c = latency.constant_delay()
+        c = self._constant_one_way
         if c is not None:
             return c + c
+        latency = self.network.latency
         mediators = self._federation.mediators
         worst = 0.0
         for ordinal in peers:
@@ -350,23 +350,16 @@ class FederatedMediator(Entity):
 
     @property
     def route_counts(self) -> Dict[str, int]:
-        """Fast-engine route counts summed over the shards (empty on
-        the event engine, whose shards take no fast route)."""
-        return sum_tallies(
-            getattr(m, "route_counts", {}) for m in self.federation.mediators
-        )
+        """Route counts summed over the shards."""
+        return sum_tallies(m.route_counts for m in self.federation.mediators)
 
     @property
     def scalar_reasons(self) -> Dict[str, int]:
-        return sum_tallies(
-            getattr(m, "scalar_reasons", {}) for m in self.federation.mediators
-        )
+        return sum_tallies(m.scalar_reasons for m in self.federation.mediators)
 
     @property
     def commit_counts(self) -> Dict[str, int]:
-        return sum_tallies(
-            getattr(m, "commit_counts", {}) for m in self.federation.mediators
-        )
+        return sum_tallies(m.commit_counts for m in self.federation.mediators)
 
     def __repr__(self) -> str:
         return (

@@ -35,16 +35,16 @@ partition of the shards merges to the serial digest; the parent places
 them by offered load (:func:`shard_loads`, :func:`plan_placement`)
 only to shorten the slowest worker.
 
-Conservative synchronization
-----------------------------
-Workers advance in conservative epochs.  Under the constant latency
-model ``c`` (the only model the parallel path accepts), a cross-shard
-forwarding consultation issued at time ``t`` cannot affect a peer
-earlier than ``t + 2c`` (request hop + reply hop), so ``2c`` is the
-lookahead and the epoch width: a worker may execute every event in
-``[t, t + 2c)`` without waiting for peer input.  Message/record batches
-are flushed to the parent at epoch barriers over pipes (coalesced so a
-short epoch does not mean a syscall per ``2c``).
+Flush loop
+----------
+Workers never exchange events: a cross-group forwarding consultation
+aborts to the serial path (below), so no worker ever waits for another.
+Each worker runs its slice to the horizon in ``FLUSH_STEPS`` equal
+``run_until`` steps -- ``run_until`` is partition-invariant, so the step
+width changes nothing the run computes -- and after each step flushes
+its buffered outcome events and samples to the parent over its pipe,
+which bounds worker memory, and polls the control pipe, which lets the
+parent stop the fleet when a sibling aborts.
 
 In-group forwarding (home shard and contributing peers in the same
 worker) is executed natively and is bit-identical to serial.
@@ -112,6 +112,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     # imports this package, so a top-level import would be circular.
     from repro.experiments.config import ExperimentConfig, PolicySpec
 from repro.metrics.summary import final_rows, summary_from_rows
+
+
+#: ``run_until`` steps per worker run; the parent is sent a batch after
+#: each (see "Flush loop" in the module docstring).
+FLUSH_STEPS = 128
 
 
 class ParallelViolation(RuntimeError):
@@ -268,7 +273,7 @@ class ShardSlice:
     def __init__(self, group: Sequence[int], shards: int) -> None:
         self.group: Tuple[int, ...] = tuple(group)
         self.shards = shards
-        #: Outcome events, flushed to the parent at epoch barriers.
+        #: Outcome events, flushed to the parent after each step.
         self.events: List[tuple] = []
         #: Raw sample ticks ``(t, c_sat, c_online, p_sat, p_util, p_online)``.
         self.samples: List[tuple] = []
@@ -360,7 +365,7 @@ class ShardSlice:
         def sample() -> None:
             # One flat column per sampled attribute, owned participants
             # in registration order (the harvest ships their ordinals
-            # once).  Resolve the buffer per tick: epoch flushes rebind
+            # once).  Resolve the buffer per tick: step flushes rebind
             # ``self.samples`` to a fresh list after each send.
             self.samples.append(
                 (
@@ -390,7 +395,7 @@ def _flush(conn, shard_slice: ShardSlice) -> None:
 
 
 def _harvest(live, shard_slice: ShardSlice) -> dict:
-    """Final owned state, shipped to the parent after the last epoch."""
+    """Final owned state, shipped to the parent after the last step."""
     federation = shard_slice.federation
     consumers = shard_slice._owned_consumers
     providers = shard_slice._owned_providers
@@ -411,9 +416,9 @@ def _harvest(live, shard_slice: ShardSlice) -> dict:
             (m.mediations, m.failures, m.coordination_messages, m.forwarded)
             for m in owned
         ],
-        # Fast-engine execution metadata (absent on the event engine).
+        # Execution metadata: which route decided, which commit ran.
         "tallies": {
-            name: sum_tallies(getattr(m, name, {}) for m in owned)
+            name: sum_tallies(getattr(m, name) for m in owned)
             for name in _MergedMediator.TALLIES
         },
         "network_messages": live.network.messages_sent,
@@ -424,7 +429,7 @@ def _harvest(live, shard_slice: ShardSlice) -> dict:
 
 
 def _worker_main(config, policy_spec, replication, group, conn, ctrl) -> None:
-    """Run one shard group to the horizon in conservative epochs."""
+    """Run one shard group to the horizon, flushing after each step."""
     wall0, cpu0 = time.perf_counter(), time.process_time()
     try:
         from repro.experiments.runner import wire_run
@@ -435,27 +440,12 @@ def _worker_main(config, policy_spec, replication, group, conn, ctrl) -> None:
         )
         sim = live.sim
         duration = config.duration
-        # Lookahead: a forwarding consultation cannot affect a peer
-        # earlier than now + 2c under constant latency c.  Degenerate
-        # c=0 collapses to the sample interval (any positive width is
-        # safe: the guard aborts before any cross-group effect exists).
-        c = config.latency_low
-        width = 2.0 * c if c > 0 else config.sample_interval
-        # Coalesce pipe flushes: an epoch barrier every 2c would mean a
-        # syscall storm for small c, and the parent only needs batches
-        # often enough to bound worker memory and observe aborts.
-        flush_every = max(width, duration / 128.0)
-        next_flush = flush_every
-        now = 0.0
-        while now < duration:
-            target = min(now + width, duration)
-            sim.run_until(target)
-            now = target
-            if now >= next_flush or now >= duration:
-                _flush(conn, shard_slice)
-                next_flush = now + flush_every
-                if ctrl.poll():
-                    return  # parent told us to stop (a sibling aborted)
+        for step in range(1, FLUSH_STEPS + 1):
+            # Exact at the last step: scaling by a power of two is exact.
+            sim.run_until(duration * step / FLUSH_STEPS)
+            _flush(conn, shard_slice)
+            if ctrl.poll():
+                return  # parent told us to stop (a sibling aborted)
         harvest = _harvest(live, shard_slice)
         harvest["wall_s"] = time.perf_counter() - wall0
         harvest["cpu_s"] = time.process_time() - cpu0
@@ -475,8 +465,7 @@ def _worker_main(config, policy_spec, replication, group, conn, ctrl) -> None:
 
 class _MergedMediator:
     """The merged run's mediator counters, summed over the workers'
-    shards, and the fast engine's route/commit tallies summed the same
-    way: placement never changes which route a shard's mediations take,
+    shards, and the route/commit tallies summed the same way: placement never changes which route a shard's mediations take,
     so they equal the serial run's.
     """
 

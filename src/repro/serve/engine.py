@@ -328,16 +328,6 @@ class ServeEngine:
                 )
             ]
         mediator = self.live.mediator
-        routes = getattr(mediator, "route_counts", None)
-        if routes:
-            # fast engine only: which code path decided, why not the
-            # column one, and which commit ran (execution metadata,
-            # never in a digest)
-            routes = {
-                **routes,
-                "scalar_reasons": mediator.scalar_reasons,
-                "commit": mediator.commit_counts,
-            }
         return {
             "policy": self.policy_spec.label,
             "sim_time": self.sim.now,
@@ -361,7 +351,13 @@ class ServeEngine:
             "admission": self.admission.stats.snapshot(),
             "latency": self.metrics.snapshot(),
             **({"shards": shards} if shards is not None else {}),
-            **({"routes": routes} if routes else {}),
+            # Which code path decided, why not the column one, and
+            # which commit ran (execution metadata, never in a digest).
+            "routes": {
+                **mediator.route_counts,
+                "scalar_reasons": mediator.scalar_reasons,
+                "commit": mediator.commit_counts,
+            },
         }
 
     def summary_now(self) -> RunSummary:

@@ -64,13 +64,6 @@ class TestSelection:
         decision = EconomicPolicy().select(query, providers, AllocationContext(now=0.0))
         assert decision.consult_messages == 8
 
-    def test_bids_in_metadata(self, factory):
-        providers = [factory.provider(f"p{i}") for i in range(2)]
-        consumer = factory.consumer()
-        query = factory.query(consumer, n_results=1)
-        decision = EconomicPolicy().select(query, providers, AllocationContext(now=0.0))
-        assert set(decision.metadata["bids"]) == {"p0", "p1"}
-
     def test_preference_can_beat_mild_load_difference(self, factory, sim):
         """A provider that loves the consumer can underbid a slightly
         less-loaded indifferent one -- the provider-interest ingredient."""

@@ -279,7 +279,8 @@ class TestDigestParity:
         if engine == "fast":
             assert sum(merged.route_counts.values()) == merged.commit_counts["rows"] > 0
         else:
-            assert merged.route_counts == merged.commit_counts == {}
+            assert merged.route_counts["scalar"] == merged.commit_counts["objects"] > 0
+            assert merged.scalar_reasons == {"event engine": merged.route_counts["scalar"]}
 
     def test_every_worker_count_identical(self):
         config, policy = _federated_config(duration=60.0)

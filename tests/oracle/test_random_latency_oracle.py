@@ -92,7 +92,11 @@ def _assert_three_routes_agree(config, policy, drive=None):
         for name, points in expected.items():
             assert series[name] == points, name
         assert _latency_state(result) == _latency_state(event)
-    assert not hasattr(event.mediator, "route_counts") or not event.mediator.route_counts
+    routes, commits = event.mediator.route_counts, event.mediator.commit_counts
+    assert routes["fused"] == routes["columns"] == commits["rows"] == 0
+    assert event.mediator.scalar_reasons == (
+        {"event engine": routes["scalar"]} if routes["scalar"] else {}
+    )
     return columns, objects
 
 
@@ -128,6 +132,23 @@ def test_baseline_policy_is_counted_as_not_column_encodable():
     routes = result.mediator.route_counts
     assert routes["scalar"] > 0 and routes["columns"] == routes["fused"] == 0
     assert result.mediator.scalar_reasons == {"policy not column-encodable": routes["scalar"]}
+
+
+def test_event_engine_tallies_equal_the_hook_off_fast_engine():
+    """Without columns both engines run the one pipeline the same way:
+    every mediation takes the scalar route and the objects commit, and
+    only the tallied reason differs."""
+    spec = Experiment.from_scenario("scenario3", duration=240.0, n_providers=30).build()
+    config = spec.to_config()
+    event = _run(config, spec.policies[0], "event", True).mediator
+    objects = _run(config, spec.policies[0], "fast", False).mediator
+    assert event.route_counts == objects.route_counts
+    assert event.commit_counts == objects.commit_counts
+    scalar = event.route_counts["scalar"]
+    assert event.route_counts == {"fused": 0, "columns": 0, "scalar": scalar}
+    assert event.commit_counts == {"rows": 0, "objects": scalar} and scalar > 0
+    assert event.scalar_reasons == {"event engine": scalar}
+    assert objects.scalar_reasons == {"kernel hook off": scalar}
 
 
 def test_one_custom_provider_model_falls_back_per_query():
@@ -208,12 +229,15 @@ def test_serve_record_then_replay_round():
     engine = ServeEngine(config, policy)
     replayed = engine.replay(trace).digest()
     scalar = _with_kernel(False, lambda: ServeEngine(config, policy).replay(trace).digest())
-    event = ServeEngine(replace(config, engine="event"), policy).replay(trace).digest()
+    event_engine = ServeEngine(replace(config, engine="event"), policy)
+    event = event_engine.replay(trace).digest()
     assert replayed == scalar == event == batch.digest()
     routes = engine.metrics_snapshot()["routes"]
     assert routes["columns"] == engine.live.mediator.mediations > 0
     assert routes["scalar_reasons"] == {}
-    assert "routes" not in ServeEngine(replace(config, engine="event"), policy).metrics_snapshot()
+    event_routes = event_engine.metrics_snapshot()["routes"]
+    assert event_routes["scalar"] == event_routes["commit"]["objects"] > 0
+    assert event_routes["scalar_reasons"] == {"event engine": event_routes["scalar"]}
 
 
 _HASHSEED_SCRIPT = """
@@ -319,7 +343,7 @@ def test_select_fast_with_and_without_columns_builds_the_same_decision(n_provide
             assert left == right, name
             assert list(left) == list(right), f"{name}: key order"
         assert a.consult_messages == b.consult_messages == 2 * len(a.informed) + 2
-        assert a.metadata == b.metadata == {"k_effective": min(20, n_providers)}
+        assert not hasattr(a, "metadata") and not hasattr(b, "metadata")
     assert with_columns.selector._stream._rng.getstate() == without.selector._stream._rng.getstate()
 
 

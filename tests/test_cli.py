@@ -19,6 +19,35 @@ class TestParser:
             build_parser().parse_args(["run", "scenario99"])
 
 
+class TestCountFlagsCheckedInParser:
+    """Counts and durations are checked by argparse: a usage error (exit
+    2) before anything runs, never a traceback, and never exit 1, which
+    ``sbqa run`` keeps for a failed claim."""
+
+    @pytest.mark.parametrize(
+        "argv, flag, bound, value",
+        [
+            (["run", "--spec", "examples/specs/demo.json", "--workers", "0"], "--workers", ">= 1", "0"),
+            (["run", "--spec", "examples/specs/demo.json", "--parallel", "--workers", "0"], "--workers", ">= 1", "0"),
+            (["run", "scenario1", "--duration", "0"], "--duration", "> 0", "0"),
+            (["run", "scenario1", "--providers", "-3"], "--providers", ">= 1", "-3"),
+            (["spec", "scenario1", "--providers", "0"], "--providers", ">= 1", "0"),
+            (["spec", "scenario1", "--duration", "-5"], "--duration", "> 0", "-5"),
+            (["sweep", "kn", "--values", "1", "--providers", "0"], "--providers", ">= 1", "0"),
+            (["sweep", "kn", "--values", "1", "--duration", "nan"], "--duration", "> 0", "nan"),
+            (["tune", "--spec", "tune.json", "--budget", "-3"], "--budget", ">= 0", "-3"),
+        ],
+    )
+    def test_rejected_with_a_usage_error(self, argv, flag, bound, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: argument {flag}: must be {bound}, got {value}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -313,8 +342,10 @@ class TestSweepSpecDriven:
     def test_sweep_rejects_nonpositive_workers(self, tmp_path, capsys):
         path = self.emit(tmp_path)
         capsys.readouterr()
-        assert main(["sweep", "--spec", str(path), "--workers", "0"]) == 2
-        assert "--workers must be >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--spec", str(path), "--workers", "0"])
+        assert exit_info.value.code == 2
+        assert "error: argument --workers: must be >= 1, got 0" in capsys.readouterr().err
 
 
 class TestTuneCommand:
@@ -451,8 +482,10 @@ class TestTuneCommand:
 
     def test_tune_rejects_nonpositive_workers(self, tmp_path, capsys):
         path = self.emit(tmp_path)
-        assert main(["tune", "--spec", str(path), "--workers", "0"]) == 2
-        assert "--workers must be >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["tune", "--spec", str(path), "--workers", "0"])
+        assert exit_info.value.code == 2
+        assert "error: argument --workers: must be >= 1, got 0" in capsys.readouterr().err
 
 
 class TestSweepAlpha:
