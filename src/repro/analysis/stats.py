@@ -24,6 +24,7 @@ sweep digest and its significance annotations lean on both):
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -49,20 +50,31 @@ def median(values: Sequence[float], default: float = 0.0) -> float:
 
 def percentile(values: Sequence[float], q: float, default: float = 0.0) -> float:
     """Linear-interpolated percentile ``q`` in [0, 100]."""
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100], got {q}")
+    return percentiles(values, (q,), default)[0]
+
+
+def percentiles(
+    values: Sequence[float], qs: Sequence[float], default: float = 0.0
+) -> List[float]:
+    """:func:`percentile` at every ``q`` of ``qs``, from one sort."""
+    for q in qs:
+        if not 0.0 <= q <= 100.0:
+            raise ValueError(f"percentile must be in [0, 100], got {q}")
     if not values:
-        return default
+        return [default] * len(qs)
     ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100.0) * (len(ordered) - 1)
-    low = int(math.floor(rank))
-    high = int(math.ceil(rank))
-    if low == high:
-        return ordered[low]
-    frac = rank - low
-    return ordered[low] * (1.0 - frac) + ordered[high] * frac
+    last = len(ordered) - 1
+    out = []
+    for q in qs:
+        rank = (q / 100.0) * last
+        low = int(math.floor(rank))
+        high = int(math.ceil(rank))
+        if low == high:
+            out.append(ordered[low])
+        else:
+            frac = rank - low
+            out.append(ordered[low] * (1.0 - frac) + ordered[high] * frac)
+    return out
 
 
 def stdev(values: Sequence[float], default: float = 0.0) -> float:
@@ -70,7 +82,7 @@ def stdev(values: Sequence[float], default: float = 0.0) -> float:
     if len(values) < 2:
         return default
     m = mean(values)
-    return math.sqrt(sum((v - m) ** 2 for v in values) / len(values))
+    return math.sqrt(sum([(v - m) ** 2 for v in values]) / len(values))
 
 
 def gini(values: Sequence[float]) -> float:
@@ -82,7 +94,7 @@ def gini(values: Sequence[float]) -> float:
     """
     if not values:
         return 0.0
-    if any(v < 0 for v in values):
+    if min(values) < 0:
         raise ValueError("gini requires non-negative values")
     total = sum(values)
     if total == 0:
@@ -90,7 +102,7 @@ def gini(values: Sequence[float]) -> float:
     ordered = sorted(values)
     n = len(ordered)
     # Standard formula: G = (2 * sum_i i*x_i) / (n * sum x) - (n + 1) / n
-    weighted = sum((i + 1) * x for i, x in enumerate(ordered))
+    weighted = sum(map(operator.mul, range(1, n + 1), ordered))
     return (2.0 * weighted) / (n * total) - (n + 1.0) / n
 
 

@@ -99,25 +99,19 @@ class KnBestSelector:
         working = by_load[: self.kn]
         return KnBestSelection(sampled=tuple(sampled), working=tuple(working))
 
-    def sample_working(
-        self, candidates: Sequence[P]
-    ) -> Tuple[int, List[P], List[float]]:
+    def sample_working(self, candidates: Sequence[P]) -> Tuple[int, List[P]]:
         """Both stages without the :class:`KnBestSelection` wrapper.
 
-        The hot-path form used by ``SbQAPolicy.select_fast``: same
-        random draws, same load sort, same tie-breaking as
-        :meth:`select`, returning ``(|K|, Kn, utilizations-of-Kn)``
-        directly.  Decorate-sort replaces the per-element key lambda
-        (tuples compare in C; ``participant_id`` is unique, so the
-        provider in slot 3 never participates in a comparison).
+        The form SbQA's object route uses: same random draws, same load
+        sort, same tie-breaking as :meth:`select`, returning
+        ``(|K|, Kn)`` directly.  Decorate-sort replaces the per-element
+        key lambda (tuples compare in C; ``participant_id`` is unique,
+        so the provider in slot 3 never participates in a comparison).
         """
         sampled: List[P] = self._stream.sample(candidates, self.k)
         decorated = [(p.utilization, p.participant_id, p) for p in sampled]
         decorated.sort()
-        kn = self.kn
-        working = [row[2] for row in decorated[:kn]]
-        loads = [row[0] for row in decorated[:kn]]
-        return len(sampled), working, loads
+        return len(sampled), [row[2] for row in decorated[: self.kn]]
 
     def sample_working_ordinals(
         self, candidates: Sequence[P], ranks: Sequence[int]

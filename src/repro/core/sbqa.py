@@ -138,7 +138,7 @@ class SbQAPolicy(AllocationPolicy):
             return cols.decision(self, query, ctx.now)
 
         # 1-2. KnBest: k sampled at random, the kn least utilized kept.
-        _, working, _ = self.selector.sample_working(candidates)
+        _, working = self.selector.sample_working(candidates)
         pids = [p.participant_id for p in working]
         # 3. SQLB consultation: PI_q[p] and CI_q[p] for every p of Kn.
         consumer = query.consumer

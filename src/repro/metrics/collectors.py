@@ -14,6 +14,7 @@ Wiring (done by :mod:`repro.experiments.runner`):
 
 from __future__ import annotations
 
+from array import array
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.stats import gini, mean, stdev
@@ -41,9 +42,10 @@ class MetricsHub:
         self.failed_by_consumer: Dict[str, int] = {}
         self.completed_by_consumer: Dict[str, int] = {}
 
-        # distributions
-        self.response_times: List[float] = []
-        self.consultation_delays: List[float] = []
+        # distributions: one unboxed 8-byte double per query, in
+        # arrival order (the summary's mean sums them in this order)
+        self.response_times = array("d")
+        self.consultation_delays = array("d")
 
         # events
         self.departures: List["Departure"] = []
@@ -199,7 +201,11 @@ class MetricsHub:
             now,
             [c.satisfaction for c in online_consumers],
             [p.satisfaction for p in online_providers],
-            [p.utilization for p in online_providers],
+            # Provider.utilization inlined (same max/min arithmetic)
+            [
+                min(1.0, max(0.0, p._busy_until - now) / p.saturation_horizon)
+                for p in online_providers
+            ],
             registry.total_capacity(online_only=True),
             group_sats,
             self.queries_completed,

@@ -1,12 +1,13 @@
 """Append-only time series with the handful of operations reports need,
-plus constant-memory streaming quantile accumulators (P²) for the
-long-lived serving mode, where holding every response time in a list --
-what :class:`~repro.metrics.collectors.MetricsHub` does for finite runs
--- would grow without bound."""
+the P² streaming quantile estimator, and the exact quantile set the
+serving mode reports over unboxed ``array('d')`` samples."""
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+from repro.analysis.stats import mean, percentiles
 
 
 class TimeSeries:
@@ -102,10 +103,8 @@ class P2Quantile:
 
     Exact (it simply sorts) until five observations have arrived; after
     that the markers track the target quantile with parabolic
-    interpolation.  Accuracy is ample for live dashboards -- the serve
-    subsystem's ``/metrics`` endpoint feeds every response time and
-    ingress latency through one of these instead of keeping unbounded
-    sample lists.
+    interpolation.  For a stream too long to keep; the serving mode
+    keeps its samples and reports them exactly (:class:`QuantileSet`).
     """
 
     __slots__ = ("q", "_heights", "_positions", "_desired", "_increments", "_count")
@@ -205,64 +204,68 @@ DEFAULT_QUANTILES = (0.50, 0.95, 0.99)
 
 
 class QuantileSet:
-    """A named bundle of :class:`P2Quantile` accumulators over one
-    stream of observations (p50/p95/p99 by default), with min/max/mean
-    tracked exactly."""
+    """Exact quantiles (p50/p95/p99 by default), count, mean, min and
+    max of one stream of observations, kept as an ``array('d')``.
 
-    __slots__ = ("name", "_accumulators", "_count", "_total", "_min", "_max")
+    ``add`` is one append of an unboxed 8-byte double; a read sorts
+    once and interpolates like :func:`~repro.analysis.stats.percentile`,
+    so the figures equal a finished run's summary.  ``values`` may be
+    an array someone else appends to (the serve engine reads the hub's
+    response times this way).
+    """
+
+    __slots__ = ("name", "quantiles", "values")
 
     def __init__(
-        self, name: str, quantiles: Sequence[float] = DEFAULT_QUANTILES
+        self,
+        name: str,
+        quantiles: Sequence[float] = DEFAULT_QUANTILES,
+        values: Optional[array] = None,
     ) -> None:
         if not quantiles:
             raise ValueError("need at least one quantile")
+        for q in quantiles:
+            if not 0.0 < q < 1.0:
+                raise ValueError(f"quantile must be in (0, 1), got {q}")
         self.name = name
-        self._accumulators = [P2Quantile(q) for q in quantiles]
-        self._count = 0
-        self._total = 0.0
-        self._min: Optional[float] = None
-        self._max: Optional[float] = None
+        self.quantiles = tuple(float(q) for q in quantiles)
+        self.values = array("d") if values is None else values
 
     def add(self, x: float) -> None:
-        """Fold one observation into every tracked quantile."""
-        x = float(x)
-        self._count += 1
-        self._total += x
-        if self._min is None or x < self._min:
-            self._min = x
-        if self._max is None or x > self._max:
-            self._max = x
-        for accumulator in self._accumulators:
-            accumulator.add(x)
+        """Keep one observation."""
+        self.values.append(x)
 
     def __len__(self) -> int:
-        return self._count
+        return len(self.values)
 
     @property
     def mean(self) -> float:
-        return self._total / self._count if self._count else 0.0
+        return mean(self.values)
 
     def quantile(self, q: float) -> Optional[float]:
-        """Estimate for one tracked quantile (KeyError if untracked)."""
-        for accumulator in self._accumulators:
-            if accumulator.q == q:
-                return accumulator.value()
-        raise KeyError(f"quantile {q} is not tracked by {self.name!r}")
+        """One tracked quantile (None when empty; KeyError if untracked)."""
+        if q not in self.quantiles:
+            raise KeyError(f"quantile {q} is not tracked by {self.name!r}")
+        return percentiles(self.values, (100.0 * q,), None)[0]
 
     def snapshot(self) -> Dict[str, Optional[float]]:
         """JSON-friendly view: count, mean, min/max and every quantile
         keyed as ``p50`` / ``p95`` / ``p99`` (trailing zeros trimmed)."""
+        # percentile 0 and 100 are the ends of the one sorted copy
+        low, high, *read = percentiles(
+            self.values, [0.0, 100.0] + [100.0 * q for q in self.quantiles], None
+        )
         out: Dict[str, Optional[float]] = {
-            "count": self._count,
-            "mean": self.mean if self._count else None,
-            "min": self._min,
-            "max": self._max,
+            "count": len(self.values),
+            "mean": mean(self.values, None),
+            "min": low,
+            "max": high,
         }
-        for accumulator in self._accumulators:
-            key = f"{accumulator.q * 100:g}".replace(".", "_")
-            out[f"p{key}"] = accumulator.value()
+        for q, value in zip(self.quantiles, read):
+            key = f"{q * 100:g}".replace(".", "_")
+            out[f"p{key}"] = value
         return out
 
     def __repr__(self) -> str:
-        tracked = ", ".join(f"{a.q:g}" for a in self._accumulators)
-        return f"QuantileSet({self.name!r}, n={self._count}, q=[{tracked}])"
+        tracked = ", ".join(f"{q:g}" for q in self.quantiles)
+        return f"QuantileSet({self.name!r}, n={len(self)}, q=[{tracked}])"

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
 
-from repro.analysis.stats import gini, mean, percentile, stdev
+from repro.analysis.stats import gini, mean, percentiles, stdev
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.mediator import Mediator
@@ -236,6 +236,7 @@ def summary_from_rows(
     initial_capacity = sum(capacities)
     remaining_capacity = sum(compress(capacities, online))
     consumers = [summary for summary, _ in consumer_rows]
+    p95_response_time, p99_response_time = percentiles(hub.response_times, (95, 99))
 
     return RunSummary(
         policy=policy_name,
@@ -248,8 +249,8 @@ def summary_from_rows(
         provider_crashes=len(hub.crashes),
         queries_lost_to_crashes=sum(c.queries_lost for c in hub.crashes),
         mean_response_time=mean(hub.response_times),
-        p95_response_time=percentile(hub.response_times, 95),
-        p99_response_time=percentile(hub.response_times, 99),
+        p95_response_time=p95_response_time,
+        p99_response_time=p99_response_time,
         tail_response_time=hub.response_time_series.tail_mean(0.25),
         throughput=hub.queries_completed / duration if duration > 0 else 0.0,
         consumer_satisfaction_final=hub.consumer_satisfaction.last or 0.0,

@@ -27,6 +27,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.experiments.config import ExperimentConfig, PolicySpec
 from repro.experiments.runner import LiveRun, RunResult, WorkloadInstaller, wire_run
+from repro.metrics.collectors import MetricsHub
 from repro.metrics.series import QuantileSet
 from repro.metrics.summary import RunSummary, build_summary, summary_digest, summary_payload
 from repro.serve.admission import (
@@ -81,15 +82,17 @@ class _OpenIngress(WorkloadInstaller):
 
 
 class ServeMetrics:
-    """Streaming latency accumulators of one serving session.
+    """Exact latency quantiles of one serving session.
 
-    Constant memory (P² quantiles) because a serving session has no
-    horizon to bound the sample lists the batch hub keeps.
+    Every observation is kept as one unboxed double: the response times
+    are the hub's own array (the summary reads the same floats), the
+    ingress delays an array of their own, 8 bytes per issued query.  A
+    ``/metrics`` read sorts a copy of each.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, hub: MetricsHub) -> None:
         #: Consumer-perceived response time of completed queries.
-        self.response_time = QuantileSet("response_time")
+        self.response_time = QuantileSet("response_time", values=hub.response_times)
         #: Simulation-time delay between a query's requested arrival
         #: instant and the moment its chain actually issued it (backlog
         #: wait; 0 when the chain was idle).
@@ -125,20 +128,16 @@ class ServeEngine:
         self.config = config
         self.policy_spec = policy_spec
         self.admission = AdmissionController(admission or AdmissionConfig())
-        self.metrics = ServeMetrics()
         self.live: LiveRun = wire_run(
             config, policy_spec, replication=replication, workload=_OpenIngress()
         )
+        self.metrics = ServeMetrics(self.live.hub)
         self.sim = self.live.sim
         self._chains: Dict[str, _Chain] = {
             c.participant_id: _Chain(c) for c in self.live.population.consumers
         }
         self._backlog = 0
         self._seq = 0
-        for consumer in self.live.population.consumers:
-            consumer.on_completion(
-                lambda record: self.metrics.response_time.add(record.response_time)
-            )
 
     # ------------------------------------------------------------------
     # Ingress
@@ -302,7 +301,7 @@ class ServeEngine:
 
     def metrics_snapshot(self) -> Dict[str, object]:
         """The ``/metrics`` document: counters, satisfaction, admission
-        accounting and streaming latency quantiles, all JSON scalars."""
+        accounting and exact latency quantiles, all JSON scalars."""
         hub = self.live.hub
         registry = self.live.registry
         online = registry.online_consumers()

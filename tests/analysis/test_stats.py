@@ -12,6 +12,7 @@ from repro.analysis.stats import (
     mean,
     median,
     percentile,
+    percentiles,
     stdev,
     summarize_distribution,
 )
@@ -55,6 +56,31 @@ class TestBasics:
     @given(st.lists(floats, min_size=1, max_size=50), st.floats(min_value=0, max_value=100))
     def test_percentile_within_bounds(self, values, q):
         assert min(values) - 1e-6 <= percentile(values, q) <= max(values) + 1e-6
+
+
+class TestReferenceForms:
+    """The sampler's arithmetic, held to the forms it replaced: every
+    float equal, not approximately equal (digests hash them)."""
+
+    def test_percentiles_validate_every_q(self):
+        with pytest.raises(ValueError, match="percentile"):
+            percentiles([1.0], (50, 101))
+        assert percentiles([], (50, 99), default=-1.0) == [-1.0, -1.0]
+
+    @given(st.lists(floats, min_size=2, max_size=60))
+    def test_stdev_equals_generator_sum(self, values):
+        m = sum(values) / len(values)
+        reference = math.sqrt(sum((v - m) ** 2 for v in values) / len(values))
+        assert stdev(values) == reference
+
+    @given(st.lists(positive_floats, min_size=1, max_size=60))
+    def test_gini_equals_enumerate_sum(self, values):
+        total = sum(values)
+        ordered = sorted(values)
+        n = len(ordered)
+        weighted = sum((i + 1) * x for i, x in enumerate(ordered))
+        reference = (2.0 * weighted) / (n * total) - (n + 1.0) / n if total else 0.0
+        assert gini(values) == reference
 
 
 class TestGini:

@@ -45,7 +45,16 @@ class TestEventRecords:
         record = success_record(factory, rt=12.0)
         hub.record_completion(record)
         assert hub.queries_completed == 1
-        assert hub.response_times == [12.0]
+        assert list(hub.response_times) == [12.0]
+
+    def test_distributions_are_unboxed_doubles(self, factory):
+        hub = MetricsHub()
+        hub.record_mediation(success_record(factory, rt=3.0))
+        hub.record_completion(success_record(factory, rt=3.0))
+        for distribution in (hub.response_times, hub.consultation_delays):
+            assert distribution.typecode == "d"
+            assert distribution.itemsize == 8
+            assert len(distribution) == 1
 
     def test_completion_of_incomplete_record_rejected(self, factory):
         hub = MetricsHub()

@@ -1,8 +1,24 @@
-"""Unit tests for TimeSeries."""
+"""Unit tests for TimeSeries, P2Quantile and QuantileSet."""
+
+from array import array
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.metrics.series import TimeSeries
+from repro.metrics.series import QuantileSet, TimeSeries
+
+
+def sorted_reference(values, q):
+    """Linear-interpolated order statistic over a sorted list, written
+    out independently of repro.analysis.stats."""
+    ordered = sorted(values)
+    rank = q * (len(ordered) - 1)
+    low = int(rank)
+    high = min(low + 1, len(ordered) - 1)
+    if low == high or rank == low:
+        return ordered[low]
+    return ordered[low] + (ordered[high] - ordered[low]) * (rank - low)
 
 
 class TestAppend:
@@ -188,3 +204,55 @@ class TestQuantileSet:
         quantiles = QuantileSet("rt", quantiles=(0.999,))
         quantiles.add(1.0)
         assert "p99_9" in quantiles.snapshot()
+
+
+class TestQuantileSetExact:
+    """The set keeps every observation and reads it exactly."""
+
+    # Few distinct values make ties likely; small sizes cover n <= 5.
+    tied = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 1e3]), min_size=1, max_size=12)
+    spread = st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=1, max_size=200)
+
+    @given(st.one_of(tied, spread))
+    def test_agrees_with_sorted_list(self, values):
+        quantiles = QuantileSet("rt", quantiles=(0.01, 0.25, 0.5, 0.95, 0.99))
+        for x in values:
+            quantiles.add(x)
+        snap = quantiles.snapshot()
+        assert snap["count"] == len(values)
+        assert snap["min"] == min(values)
+        assert snap["max"] == max(values)
+        assert snap["mean"] == sum(values) / len(values)
+        for q in quantiles.quantiles:
+            reference = sorted_reference(values, q)
+            assert quantiles.quantile(q) == pytest.approx(reference, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_small_sets_exact(self, n):
+        quantiles = QuantileSet("rt")
+        values = [float(v) for v in range(n, 0, -1)]
+        for x in values:
+            quantiles.add(x)
+        for q in (0.5, 0.95, 0.99):
+            assert quantiles.quantile(q) == pytest.approx(sorted_reference(values, q))
+
+    def test_all_ties(self):
+        quantiles = QuantileSet("rt")
+        for _ in range(7):
+            quantiles.add(4.0)
+        snap = quantiles.snapshot()
+        assert (snap["p50"], snap["p95"], snap["p99"]) == (4.0, 4.0, 4.0)
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, -0.5, 1.5])
+    def test_rejects_quantiles_outside_unit_interval(self, q):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            QuantileSet("rt", quantiles=(0.5, q))
+
+    def test_add_is_one_append_to_the_array(self):
+        values = array("d", [1.0])
+        quantiles = QuantileSet("rt", values=values)
+        quantiles.add(2.0)
+        values.append(3.0)  # appends by the owner are seen too
+        assert quantiles.values is values
+        assert list(values) == [1.0, 2.0, 3.0]
+        assert quantiles.snapshot()["count"] == 3

@@ -190,13 +190,13 @@ class TestKnBestOrdinalIsomorphism:
             draw_seed = rng.randrange(1, 2**31)
             a = KnBestSelector(k, kn, RandomStream(draw_seed))
             b = KnBestSelector(k, kn, RandomStream(draw_seed))
-            k_eff_a, working, loads = a.sample_working(snapshot)
+            k_eff_a, working = a.sample_working(snapshot)
             k_eff_b, rows = b.sample_working_ordinals(snapshot, ranks)
             assert k_eff_a == k_eff_b, f"seed {ORACLE_SEED} trial {trial}"
             assert [p.participant_id for p in working] == [
                 snapshot[s].participant_id for (_, _, s) in rows
             ], f"seed {ORACLE_SEED} trial {trial}"
-            assert loads == [u for (u, _, _) in rows]
+            assert [p.utilization for p in working] == [u for (u, _, _) in rows]
 
     def test_singleton_candidate(self):
         provider = _FakeProvider("p000", 0.3)

@@ -175,6 +175,20 @@ class TestSnapshots:
         # ingestion at the arrival instant: no ingress delay
         assert latency["ingress_delay"]["max"] == pytest.approx(0.0)
 
+    def test_metrics_quantiles_equal_the_summary(self):
+        # /metrics reads the hub's own response times, exactly: its
+        # p95/p99 are the floats the shutdown summary reports.
+        engine = make_engine()
+        for t in range(60):
+            engine.submit(("seti", "proteins", "einstein")[t % 3], at=float(t))
+        engine.advance_to(TINY.duration)
+        response_time = engine.metrics_snapshot()["latency"]["response_time"]
+        summary = engine.summary_now()
+        assert response_time["count"] == summary.queries_completed > 20
+        assert response_time["p95"] == summary.p95_response_time
+        assert response_time["p99"] == summary.p99_response_time
+        assert response_time["mean"] == summary.mean_response_time
+
     def test_final_payload_matches_summary_digest(self):
         from repro.metrics.summary import summary_digest
 
